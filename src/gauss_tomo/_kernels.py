@@ -2,45 +2,16 @@
 
 The model is sigma^2(theta) = a0 + a1*cos(2*theta) + a2*sin(2*theta).
 Kernels work on precomputed cos(2*theta), sin(2*theta) arrays and
-per-angle sample variances, and know nothing about covariance matrices.
+per-angle sample variances, and know nothing about covariance matrices:
 
-Two interchangeable backends live here.  By default the loop kernels are
-compiled with numba; setting the environment variable GAUSS_TOMO_NO_NUMBA
-to anything but "0" (or running without numba installed) selects a
-vectorised pure-numpy path instead.  Both expose the same signatures:
-
+    loglik(a0, a1, a2, v, n, c2, s2)      -> float (-inf off the feasible set)
     wls_fit(v, n, c2, s2)                 -> (a, ok)
     ml_fit(v, n, c2, s2, max_iter, tol)   -> (a, loglik, niter, converged)
 
 with float64 arrays throughout and counts passed as float64.
 """
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("GAUSS_TOMO_NO_NUMBA", "").strip()
-_want_numba = not _flag or _flag == "0"
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        _want_numba = False
-
-NUMBA_ENABLED = _want_numba
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-def _loglik_loop(a0, a1, a2, v, n, c2, s2):
-    # Gaussian log-likelihood of per-angle sample variances, constants dropped.
-    total = 0.0
-    for i in range(v.shape[0]):
-        s = a0 + a1 * c2[i] + a2 * s2[i]
-        if s <= 0.0:
-            return -np.inf
-        total += -0.5 * n[i] * (np.log(s) + v[i] / s)
-    return total
 
 
 def _solve3(m00, m01, m02, m11, m12, m22, b0, b1, b2):
@@ -71,124 +42,16 @@ def _solve3(m00, m01, m02, m11, m12, m22, b0, b1, b2):
     return x0, x1, x2, True
 
 
-def _wls_fit_loop(v, n, c2, s2):
-    # Weighted least squares with Var(v) = 2*sigma^4/n approximated by 2*v^2/n.
-    m00 = 0.0
-    m01 = 0.0
-    m02 = 0.0
-    m11 = 0.0
-    m12 = 0.0
-    m22 = 0.0
-    b0 = 0.0
-    b1 = 0.0
-    b2 = 0.0
-    for i in range(v.shape[0]):
-        if v[i] <= 0.0:
-            a = np.zeros(3)
-            return a, False
-        w = n[i] / (2.0 * v[i] * v[i])
-        c = c2[i]
-        s = s2[i]
-        m00 += w
-        m01 += w * c
-        m02 += w * s
-        m11 += w * c * c
-        m12 += w * c * s
-        m22 += w * s * s
-        b0 += w * v[i]
-        b1 += w * v[i] * c
-        b2 += w * v[i] * s
-    x0, x1, x2, ok = _solve3(m00, m01, m02, m11, m12, m22, b0, b1, b2)
-    a = np.empty(3)
-    a[0] = x0
-    a[1] = x1
-    a[2] = x2
-    return a, ok
-
-
-def _ml_fit_loop(v, n, c2, s2, max_iter, tol):
-    # Fisher scoring with backtracking line search on the exact likelihood.
-    a, ok = _wls_fit_loop(v, n, c2, s2)
-    lik = -np.inf
-    if ok:
-        lik = _loglik_loop(a[0], a[1], a[2], v, n, c2, s2)
-    if not ok or lik == -np.inf:
-        # isotropic fallback start, always feasible for positive mean variance
-        num = 0.0
-        den = 0.0
-        for i in range(v.shape[0]):
-            num += n[i] * v[i]
-            den += n[i]
-        a = np.zeros(3)
-        if den <= 0.0 or num <= 0.0:
-            return a, -np.inf, 0, False
-        a[0] = num / den
-        lik = _loglik_loop(a[0], a[1], a[2], v, n, c2, s2)
-
-    converged = False
-    niter = 0
-    for it in range(max_iter):
-        m00 = 0.0
-        m01 = 0.0
-        m02 = 0.0
-        m11 = 0.0
-        m12 = 0.0
-        m22 = 0.0
-        g0 = 0.0
-        g1 = 0.0
-        g2 = 0.0
-        for i in range(v.shape[0]):
-            s = a[0] + a[1] * c2[i] + a[2] * s2[i]
-            w = n[i] / (2.0 * s * s)
-            r = v[i] - s
-            c = c2[i]
-            sn = s2[i]
-            m00 += w
-            m01 += w * c
-            m02 += w * sn
-            m11 += w * c * c
-            m12 += w * c * sn
-            m22 += w * sn * sn
-            g0 += w * r
-            g1 += w * r * c
-            g2 += w * r * sn
-        d0, d1, d2, ok = _solve3(m00, m01, m02, m11, m12, m22, g0, g1, g2)
-        if not ok:
-            break
-        step = 1.0
-        new_lik = -np.inf
-        accepted = False
-        for _ in range(60):
-            cand0 = a[0] + step * d0
-            cand1 = a[1] + step * d1
-            cand2 = a[2] + step * d2
-            new_lik = _loglik_loop(cand0, cand1, cand2, v, n, c2, s2)
-            if new_lik >= lik:
-                a[0] = cand0
-                a[1] = cand1
-                a[2] = cand2
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        niter = it + 1
-        if abs(new_lik - lik) < tol * max(1.0, abs(lik)):
-            lik = new_lik
-            converged = True
-            break
-        lik = new_lik
-    return a, lik, niter, converged
-
-
-def _loglik_np(a0, a1, a2, v, n, c2, s2):
+def loglik(a0, a1, a2, v, n, c2, s2):
+    # Gaussian log-likelihood of per-angle sample variances, constants dropped.
     s = a0 + a1 * c2 + a2 * s2
     if np.any(s <= 0.0):
         return -np.inf
     return float(np.sum(-0.5 * n * (np.log(s) + v / s)))
 
 
-def _wls_fit_np(v, n, c2, s2):
+def wls_fit(v, n, c2, s2):
+    # Weighted least squares with Var(v) = 2*sigma^4/n approximated by 2*v^2/n.
     if np.any(v <= 0.0):
         return np.zeros(3), False
     w = n / (2.0 * v * v)
@@ -199,16 +62,18 @@ def _wls_fit_np(v, n, c2, s2):
     return np.array([x0, x1, x2]), ok
 
 
-def _ml_fit_np(v, n, c2, s2, max_iter, tol):
-    a, ok = _wls_fit_np(v, n, c2, s2)
-    lik = _loglik_np(a[0], a[1], a[2], v, n, c2, s2) if ok else -np.inf
+def ml_fit(v, n, c2, s2, max_iter, tol):
+    # Fisher scoring with backtracking line search on the exact likelihood.
+    a, ok = wls_fit(v, n, c2, s2)
+    lik = loglik(a[0], a[1], a[2], v, n, c2, s2) if ok else -np.inf
     if not ok or lik == -np.inf:
+        # isotropic fallback start, always feasible for positive mean variance
         den = float(np.sum(n))
         num = float(np.sum(n * v))
         if den <= 0.0 or num <= 0.0:
             return np.zeros(3), -np.inf, 0, False
         a = np.array([num / den, 0.0, 0.0])
-        lik = _loglik_np(a[0], a[1], a[2], v, n, c2, s2)
+        lik = loglik(a[0], a[1], a[2], v, n, c2, s2)
 
     cols = (np.ones_like(c2), c2, s2)
     converged = False
@@ -228,7 +93,7 @@ def _ml_fit_np(v, n, c2, s2, max_iter, tol):
         accepted = False
         for _ in range(60):
             cand = a + step * delta
-            new_lik = _loglik_np(cand[0], cand[1], cand[2], v, n, c2, s2)
+            new_lik = loglik(cand[0], cand[1], cand[2], v, n, c2, s2)
             if new_lik >= lik:
                 a = cand
                 accepted = True
@@ -243,17 +108,3 @@ def _ml_fit_np(v, n, c2, s2, max_iter, tol):
             break
         lik = new_lik
     return a, lik, niter, converged
-
-
-if NUMBA_ENABLED:
-    _loglik_loop = njit(cache=True)(_loglik_loop)
-    _solve3 = njit(cache=True)(_solve3)
-    _wls_fit_loop = njit(cache=True)(_wls_fit_loop)
-    _ml_fit_loop = njit(cache=True)(_ml_fit_loop)
-    loglik = _loglik_loop
-    wls_fit = _wls_fit_loop
-    ml_fit = _ml_fit_loop
-else:
-    loglik = _loglik_np
-    wls_fit = _wls_fit_np
-    ml_fit = _ml_fit_np

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .core import (
     CovMat,
     DetectionModel,
@@ -35,6 +34,7 @@ from .core import (
 )
 from .errors import ConfigError, GaussTomoError, SingularMatrix
 from .estimation import (
+    _subtract_het_noise,
     estimate_from_variances,
     estimate_heterodyne,
     estimate_homodyne_ml,
@@ -121,10 +121,7 @@ class BenchmarkConfig:
                 "lambda": self.state.lam,
                 "orientation": self.state.orientation,
             },
-            "det": {
-                "eta": self.det.eta,
-                "g_elec": [self.det.g_elec.g11, self.det.g_elec.g12, self.det.g_elec.g22],
-            },
+            "det": self.det.to_dict(),
             "sample_sizes": list(self.sample_sizes),
             "angle_counts": list(self.angle_counts),
             "repetitions": self.repetitions,
@@ -225,8 +222,7 @@ def build_reference(
         if reference_size < 2:
             raise ConfigError(f"reference_size must be >= 2, got {reference_size}")
         s = heterodyne_sample_cov(g_w, det, int(reference_size), seed)
-        raw = CovMat.from_matrix(s).add_identity(-(2.0 - det.eta) / det.eta) - det.g_elec
-        return psd_project(raw)[0]
+        return psd_project(_subtract_het_noise(CovMat.from_matrix(s), det))[0]
     raise ConfigError(f"scheme must be 'hom' or 'het', got {scheme!r}")
 
 
@@ -271,14 +267,7 @@ def _aggregate(values: list) -> CellStats:
 
 
 def _versions() -> dict:
-    versions = {"artifact": __version__, "numpy": np.__version__, "kernel_backend": BACKEND}
-    try:
-        import numba
-
-        versions["numba"] = numba.__version__
-    except ImportError:
-        versions["numba"] = None
-    return versions
+    return {"artifact": __version__, "numpy": np.__version__}
 
 
 def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:

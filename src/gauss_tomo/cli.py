@@ -41,7 +41,6 @@ from .errors import (
 from .estimation import estimate_heterodyne, estimate_homodyne_ml, estimate_homodyne_wls
 from .gaussianity import test_gaussianity
 from .sampling import (
-    TWO_PI,
     AngleProtocol,
     HomodyneDataset,
     sample_heterodyne,
@@ -136,14 +135,12 @@ def _cast_int_list(raw: str) -> tuple:
 
 
 def _parse_g_elec(raw) -> CovMat:
-    if isinstance(raw, CovMat):
-        return raw
-    parts = str(raw).split(",")
+    parts = list(raw) if isinstance(raw, (list, tuple)) else str(raw).split(",")
     if len(parts) != 3:
         raise ConfigError(f"g_elec needs three comma-separated entries g11,g12,g22, got {raw!r}")
     try:
         g = CovMat(float(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"g_elec: {exc}") from exc
     if not g.physical:
         raise ConfigError(f"g_elec must be positive semidefinite, got {g}")
@@ -189,14 +186,17 @@ def _resolve_state(res: _Resolver) -> StateSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_detection(res: _Resolver) -> DetectionModel:
-    eta = res.get("eta", "detection.eta", float, 1.0)
-    g_elec = res.get("g_elec", "detection.g_elec", str, None)
+def _resolve_detection(res: _Resolver, default: dict | None = None) -> DetectionModel:
+    """Flags, then INI, then default: a DetectionModel.to_dict() shape,
+    such as a dataset's meta, whose eta/g_elec keys may be missing."""
+    default = default or {}
+    eta = res.get("eta", "detection.eta", float, default.get("eta", 1.0))
+    g_elec = res.get("g_elec", "detection.g_elec", str, default.get("g_elec"))
     try:
         if g_elec is None:
-            return DetectionModel(eta)
-        return DetectionModel(eta, _parse_g_elec(g_elec))
-    except ValueError as exc:
+            return DetectionModel(float(eta))
+        return DetectionModel(float(eta), _parse_g_elec(g_elec))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -205,13 +205,6 @@ def _resolve_seed(res: _Resolver) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return int(seed)
-
-
-def _det_dict(det: DetectionModel) -> dict:
-    return {
-        "eta": det.eta,
-        "g_elec": [det.g_elec.g11, det.g_elec.g12, det.g_elec.g22],
-    }
 
 
 def _state_dict(state: StateSpec) -> dict:
@@ -238,52 +231,35 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("simulate requires --out")
 
     g_w = wigner_cov(state)
-    if scheme == "hom":
-        if offset is None:
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(5, 0)))
-            )
-            offset = float(rng.uniform(0.0, TWO_PI / angles))
-        try:
-            protocol = AngleProtocol(angles, offset)
-        except InvalidProtocol as exc:
-            raise ConfigError(str(exc)) from exc
-        dataset = sample_homodyne(g_w, det, protocol, samples, seed)
-        if thermalize:
-            dataset = thermalize_homodyne(dataset, seed)
-    else:
-        dataset = sample_heterodyne(g_w, det, samples, seed)
-        if thermalize:
-            dataset = thermalize_heterodyne(dataset, seed)
+    try:
+        if scheme == "hom":
+            if offset is None:
+                rng = np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(5, 0)))
+                )
+                protocol = AngleProtocol.with_random_offset(angles, rng)
+            else:
+                protocol = AngleProtocol(angles, offset)
+            dataset = sample_homodyne(g_w, det, protocol, samples, seed)
+            if thermalize:
+                dataset = thermalize_homodyne(dataset, seed)
+        else:
+            dataset = sample_heterodyne(g_w, det, samples, seed)
+            if thermalize:
+                dataset = thermalize_heterodyne(dataset, seed)
+    except (InvalidProtocol, ValueError) as exc:
+        # the samplers reject a bad --samples count with ValueError
+        raise ConfigError(str(exc)) from exc
     dataset.meta["state"] = [state.mu, state.lam, state.orientation]
     write_dataset(out, dataset, fmt)
     print(f"wrote {out} ({scheme}, {dataset.total_events} events, format {fmt})")
     return 0
 
 
-def _detection_from_meta(meta: dict, res: _Resolver) -> DetectionModel:
-    eta = getattr(res.args, "eta", None)
-    if eta is None:
-        eta = res.ini.get("detection.eta")
-        eta = float(eta) if eta is not None else meta.get("eta", 1.0)
-    g_elec_raw = getattr(res.args, "g_elec", None)
-    if g_elec_raw is None:
-        g_elec_raw = res.ini.get("detection.g_elec")
-    if g_elec_raw is None:
-        triple = meta.get("g_elec", [0.0, 0.0, 0.0])
-        g_elec = CovMat(float(triple[0]), float(triple[1]), float(triple[2]))
-    else:
-        g_elec = _parse_g_elec(g_elec_raw)
-    try:
-        return DetectionModel(float(eta), g_elec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _cmd_estimate(args) -> int:
     res = _Resolver(args)
     dataset = read_dataset(args.dataset)
-    det = _detection_from_meta(dataset.meta, res)
+    det = _resolve_detection(res, dataset.meta)
     method = res.get("method", "run.method", str, None)
     if isinstance(dataset, HomodyneDataset):
         result = estimate_homodyne_wls(dataset, det) if method == "wls" else estimate_homodyne_ml(dataset, det)
@@ -294,7 +270,7 @@ def _cmd_estimate(args) -> int:
     record = result.to_dict()
     config = {
         "dataset": str(args.dataset),
-        "detection": _det_dict(det),
+        "detection": det.to_dict(),
         "seed": dataset.meta.get("seed"),
         "method": method or ("ml" if result.scheme == "hom" else "sample-cov"),
     }
@@ -381,7 +357,7 @@ def _cmd_gamma_map(args) -> int:
     )
     config = {
         "kind": "gamma-map",
-        "detection": _det_dict(det),
+        "detection": det.to_dict(),
         "grid": list(rows_cols),
         "mu_range": [mu_lo, mu_hi],
         "lambda_range": [lam_lo, lam_hi],
@@ -491,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=int, help="number of quadrature angles (default 100)")
     p.add_argument("--offset", type=float, help="protocol offset (default: seeded random)")
     p.add_argument("--thermalize", action="store_true", default=None, help="phase-randomize")
-    p.add_argument("--format", choices=["csv", "json", "bin"], help="dataset format (csv|bin)")
+    p.add_argument("--format", choices=["csv", "bin"], help="dataset format (csv|bin)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="reconstruct a covariance from a dataset file")

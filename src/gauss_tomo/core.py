@@ -117,6 +117,11 @@ class DetectionModel:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         _psd_check(self.g_elec, "g_elec")
 
+    def to_dict(self) -> dict:
+        """JSON form used in dataset metadata and report configs."""
+        g = self.g_elec
+        return {"eta": self.eta, "g_elec": [g.g11, g.g12, g.g22]}
+
 
 def wigner_cov(spec: StateSpec) -> CovMat:
     """Wigner covariance R(phi) diag(mu/lam, mu*lam) R(phi)^T."""

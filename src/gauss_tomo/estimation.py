@@ -119,14 +119,9 @@ def _angle_design(angles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return th, np.cos(2.0 * th), np.sin(2.0 * th)
 
 
-def _angle_variances(d: HomodyneDataset) -> tuple[np.ndarray, np.ndarray]:
-    counts = d.counts
-    if min(counts) < 2:
-        raise TooFewSamples(f"need >= 2 samples per angle, got counts {counts}")
-    v = np.array([float(np.mean(x * x)) for x in d.samples])
-    if np.any(v <= 0.0):
-        raise DegenerateVariance("zero sample variance at some angle")
-    return v, np.asarray(counts, dtype=float)
+def _angle_variances(d: HomodyneDataset) -> list:
+    # an empty angle gets a placeholder variance; _estimate_hom rejects its count
+    return [float(np.mean(x * x)) if x.size else 0.0 for x in d.samples]
 
 
 def _subtract_hom_noise(g_meas: CovMat, det: DetectionModel) -> CovMat:
@@ -141,6 +136,35 @@ def _a_to_cov(a) -> CovMat:
     return CovMat(float(a[0] + a[1]), float(a[2]), float(a[0] - a[1]))
 
 
+def _estimate_hom(
+    angles, variances, counts, det: DetectionModel, method: str, meta: dict
+) -> EstimateResult:
+    """The one homodyne core: (angles, variances, counts) to a PSD Wigner
+    covariance, fitted by ML ("ml") or WLS ("wls")."""
+    _, c2, s2 = _angle_design(angles)
+    v = np.asarray(variances, dtype=float)
+    n = np.asarray(counts, dtype=float)
+    if v.shape != c2.shape or n.shape != c2.shape:
+        raise ValueError("angles, variances and counts must have equal length")
+    if np.any(n < 2):
+        raise TooFewSamples(f"need >= 2 samples per angle, got counts {counts}")
+    if np.any(v <= 0.0):
+        raise DegenerateVariance("zero sample variance at some angle")
+    if method == "ml":
+        a, lik, iters, converged = _kernels.ml_fit(v, n, c2, s2, ML_MAX_ITER, ML_TOL)
+    elif method == "wls":
+        a, ok = _kernels.wls_fit(v, n, c2, s2)
+        if not ok:
+            raise Underdetermined("weighted normal equations are singular")
+        lik = _kernels.loglik(a[0], a[1], a[2], v, n, c2, s2)
+        iters, converged = 1, True
+    else:
+        raise ValueError(f"method must be 'ml' or 'wls', got {method!r}")
+    g_w_hat, clipped = psd_project(_subtract_hom_noise(_a_to_cov(a), det))
+    diag = Diagnostics(int(iters), bool(converged), clipped, v, float(lik))
+    return EstimateResult(g_w_hat, "hom", diag, meta)
+
+
 def estimate_homodyne_ml(d: HomodyneDataset, det: DetectionModel) -> EstimateResult:
     """Maximum-likelihood covariance from a homodyne record.
 
@@ -149,13 +173,7 @@ def estimate_homodyne_ml(d: HomodyneDataset, det: DetectionModel) -> EstimateRes
     Fisher scoring started from the WLS solution.  Hitting the iteration
     cap is reported through diagnostics.converged, not raised.
     """
-    _, c2, s2 = _angle_design(d.angles)
-    v, n = _angle_variances(d)
-    a, lik, iters, converged = _kernels.ml_fit(v, n, c2, s2, ML_MAX_ITER, ML_TOL)
-    raw = _subtract_hom_noise(_a_to_cov(a), det)
-    g_w_hat, clipped = psd_project(raw)
-    diag = Diagnostics(int(iters), bool(converged), clipped, v, float(lik))
-    return EstimateResult(g_w_hat, "hom", diag, dict(d.meta))
+    return _estimate_hom(d.angles, _angle_variances(d), d.counts, det, "ml", dict(d.meta))
 
 
 def estimate_homodyne_wls(d: HomodyneDataset, det: DetectionModel) -> EstimateResult:
@@ -165,16 +183,7 @@ def estimate_homodyne_wls(d: HomodyneDataset, det: DetectionModel) -> EstimateRe
     sample variances.  Exact on noise-free inputs; used as the reference
     estimator the ML fit is validated against.
     """
-    _, c2, s2 = _angle_design(d.angles)
-    v, n = _angle_variances(d)
-    a, ok = _kernels.wls_fit(v, n, c2, s2)
-    if not ok:
-        raise Underdetermined("weighted normal equations are singular")
-    lik = _kernels.loglik(a[0], a[1], a[2], v, n, c2, s2)
-    raw = _subtract_hom_noise(_a_to_cov(a), det)
-    g_w_hat, clipped = psd_project(raw)
-    diag = Diagnostics(1, True, clipped, v, float(lik))
-    return EstimateResult(g_w_hat, "hom", diag, dict(d.meta))
+    return _estimate_hom(d.angles, _angle_variances(d), d.counts, det, "wls", dict(d.meta))
 
 
 def estimate_heterodyne(d: HeterodyneDataset, det: DetectionModel) -> EstimateResult:
@@ -202,30 +211,7 @@ def estimate_from_variances(
     triples, so callers that stream huge records can reduce them to
     variances batch-wise and finish the reconstruction here.
     """
-    _, c2, s2 = _angle_design(angles)
-    v = np.asarray(variances, dtype=float)
-    n = np.asarray(counts, dtype=float)
-    if v.shape != c2.shape or n.shape != c2.shape:
-        raise ValueError("angles, variances and counts must have equal length")
-    if np.any(n < 2):
-        raise TooFewSamples("need >= 2 samples per angle")
-    if np.any(v <= 0.0):
-        raise DegenerateVariance("zero sample variance at some angle")
-    if method == "ml":
-        a, lik, iters, converged = _kernels.ml_fit(v, n, c2, s2, ML_MAX_ITER, ML_TOL)
-        diag_fields = (int(iters), bool(converged))
-    elif method == "wls":
-        a, ok = _kernels.wls_fit(v, n, c2, s2)
-        if not ok:
-            raise Underdetermined("weighted normal equations are singular")
-        lik = _kernels.loglik(a[0], a[1], a[2], v, n, c2, s2)
-        diag_fields = (1, True)
-    else:
-        raise ValueError(f"method must be 'ml' or 'wls', got {method!r}")
-    raw = _subtract_hom_noise(_a_to_cov(a), det)
-    g_w_hat, clipped = psd_project(raw)
-    diag = Diagnostics(diag_fields[0], diag_fields[1], clipped, v, float(lik))
-    return EstimateResult(g_w_hat, "hom", diag, {})
+    return _estimate_hom(angles, variances, counts, det, method, {})
 
 
 def estimate(dataset, det: DetectionModel) -> EstimateResult:

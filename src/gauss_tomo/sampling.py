@@ -146,8 +146,7 @@ def _base_meta(scheme: str, g_w: CovMat, det: DetectionModel, seed: int) -> dict
     return {
         "scheme": scheme,
         "seed": seed,
-        "eta": det.eta,
-        "g_elec": [det.g_elec.g11, det.g_elec.g12, det.g_elec.g22],
+        **det.to_dict(),
         "g_w": [g_w.g11, g_w.g12, g_w.g22],
         "rng": RNG_TAG,
     }

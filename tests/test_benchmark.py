@@ -79,7 +79,7 @@ class TestRunBenchmark:
         for value, stderr in rep.gamma.values():
             assert math.isnan(value) and math.isnan(stderr)
         d = rep.to_dict()
-        assert d["versions"]["kernel_backend"] in ("numba", "numpy")
+        assert set(d["versions"]) == {"artifact", "numpy"}
 
     def test_gamma_reported_at_30_reps(self):
         rep = run_benchmark(small_cfg(repetitions=30, sample_sizes=(600,), angle_counts=(5,)))

@@ -63,11 +63,21 @@ class TestSimulate:
         assert "ConfigError" in err
 
     def test_rejects_json_dataset_format(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "simulate", "--samples", "10", "--format", "json",
-            "--out", str(tmp_path / "d"),
-        )
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--samples", "10", "--format", "json",
+                  "--out", str(tmp_path / "d")])
+        assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--angles", "0"], ["--scheme", "het", "--samples", "0"]],
+        ids=["zero-angles", "het-zero-samples"],
+    )
+    def test_bad_counts_are_config_errors(self, tmp_path, capsys, extra):
+        code, _, err = run(capsys, "simulate", *extra, "--out", str(tmp_path / "d.csv"))
         assert code == 2
+        assert err.startswith("error: ConfigError:")
+        assert err.count("\n") == 1
 
     def test_bad_state_value(self, tmp_path, capsys):
         code, _, err = run(
@@ -123,6 +133,15 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(tmp_path / "nope.csv"))
         assert code == 4
         assert "FileNotFoundError" in err
+
+    def test_unparsable_ini_eta_is_config_error(self, tmp_path, capsys):
+        data = self.setup_dataset(tmp_path, capsys)
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[detection]\neta = abc\n")
+        code, _, err = run(capsys, "estimate", str(data), "--config", str(ini))
+        assert code == 2
+        assert err.startswith("error: ConfigError:")
+        assert err.count("\n") == 1
 
     def test_underdetermined_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "d.csv"

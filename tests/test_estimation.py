@@ -120,10 +120,11 @@ class TestHomodyneEstimators:
 
     def test_too_few_samples(self):
         angles = (0.1, 1.0, 2.0)
-        samples = (np.ones(1), np.ones(5), np.ones(5))
-        d = HomodyneDataset(angles, samples, {"scheme": "hom"})
-        with pytest.raises(TooFewSamples):
-            estimate_homodyne_ml(d, DET)
+        for short in (1, 0):
+            samples = (np.ones(short), np.ones(5), np.ones(5))
+            d = HomodyneDataset(angles, samples, {"scheme": "hom"})
+            with pytest.raises(TooFewSamples):
+                estimate_homodyne_ml(d, DET)
 
     def test_degenerate_variance(self):
         angles = (0.1, 1.0, 2.0)
