@@ -1,14 +1,19 @@
 """Monte Carlo accuracy benchmarking of the two detection schemes.
 
-For every (repetition, sample size N, angle count m) a fresh homodyne
-record of N events (N/m per angle, random protocol offset) and a fresh
-heterodyne record of N pairs are drawn, reconstructed, and scored by
+For every (repetition, sample size N, angle count m) the benchmark
+reconstructs a homodyne record of N events (N/m per angle, random
+protocol offset) and a heterodyne record of N pairs, and scores each by
 Hilbert-Schmidt distance against a reference covariance.  gamma(N, m)
 is the ratio of the mean heterodyne distance to the mean homodyne
 distance; gamma < 1 means heterodyne reconstructs more accurately.
 
-Each work unit derives its own generator from (root seed, unit index),
-so reports are bit-identical for any worker count.
+The estimators see a record only through its sufficient statistics, so
+no events are drawn: a homodyne repetition draws its m per-angle
+variances sigma^2 chi2_n / n, a heterodyne one its sample covariance
+from Wishart(N, Sigma) / N.  Each cell, (N, m) homodyne or N
+heterodyne, derives its own generator from (root seed, cell index) and
+draws all its repetitions from it, so reports are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -33,21 +38,8 @@ from .core import (
     wigner_cov,
 )
 from .errors import ConfigError, GaussTomoError, SingularMatrix
-from .estimation import (
-    _subtract_het_noise,
-    estimate_from_variances,
-    estimate_heterodyne,
-    estimate_homodyne_ml,
-    psd_project,
-)
-from .sampling import (
-    TWO_PI,
-    AngleProtocol,
-    heterodyne_sample_cov,
-    homodyne_sample_variances,
-    sample_heterodyne,
-    sample_homodyne,
-)
+from .estimation import _estimate_het, estimate_from_variances
+from .sampling import TWO_PI, AngleProtocol, draw_heterodyne_covs, draw_homodyne_variances
 
 GAMMA_MIN_REPS = 30
 
@@ -200,59 +192,65 @@ def build_reference(
 ) -> CovMat:
     """Reference covariance the benchmark scores against.
 
-    Default: run the scheme's own pipeline at reference_size events and
-    use that estimate as the truth proxy.  With exact=True the analytic
-    Wigner covariance is returned instead; both modes must agree within
-    the reference's own statistical error.
+    Default: draw the statistics of a reference_size-event record of the
+    scheme from their exact laws, fit them with the scheme's own
+    estimator and use that estimate as the truth proxy.  With exact=True
+    the analytic Wigner covariance is returned instead; both modes must
+    agree within the reference's own statistical error.
     """
     if exact:
         return wigner_cov(state)
     g_w = wigner_cov(state)
+    rng = _unit_rng(seed)
     if scheme == "hom":
         n_per = int(reference_size) // int(angle_count)
         if n_per < 2:
             raise ConfigError(
                 f"reference_size {reference_size} leaves < 2 events per angle at {angle_count} angles"
             )
-        protocol = AngleProtocol(angle_count, 0.0)
-        v = homodyne_sample_variances(g_w, det, protocol, n_per, seed)
+        angles = AngleProtocol(angle_count, 0.0).angles
+        v = draw_homodyne_variances(g_w, det, angles, n_per, rng)
         counts = np.full(angle_count, n_per, dtype=float)
-        return estimate_from_variances(protocol.angles, v, counts, det, method="ml").g_w_hat
+        return estimate_from_variances(angles, v, counts, det, method="ml").g_w_hat
     if scheme == "het":
-        if reference_size < 2:
+        n = int(reference_size)
+        if n < 2:
             raise ConfigError(f"reference_size must be >= 2, got {reference_size}")
-        s = heterodyne_sample_cov(g_w, det, int(reference_size), seed)
-        return psd_project(_subtract_het_noise(CovMat.from_matrix(s), det))[0]
+        return _estimate_het(draw_heterodyne_covs(g_w, det, n, 1, rng)[0], n, det, {}).g_w_hat
     raise ConfigError(f"scheme must be 'hom' or 'het', got {scheme!r}")
 
 
-def _run_unit(task, g_w=None, det=None, seed=0, ref_hom=None, ref_het=None):
-    """One (scheme, rep, N, m) draw-estimate-score unit.
+def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
+    """All repetitions of one (N, m) homodyne or N heterodyne cell.
 
-    Returns (key, dhs, failed, clipped); dhs is NaN when the unit failed.
-    Failures are excluded from averages but always counted.
+    Draws the cell's statistics, then fits and scores the repetitions in
+    order.  Returns (key, dhs) with one distance per repetition, NaN
+    where the fit failed; failures are excluded from averages but always
+    counted.
     """
-    scheme, rep, i_n, i_m, n_events, m = task
+    scheme, i_n, i_m, n_events, m = task
+    g_w, det, reps = wigner_cov(cfg.state), cfg.det, cfg.repetitions
+    if scheme == "hom":
+        rng = _unit_rng(int(cfg.seed), _DOM_UNIT_HOM, i_n, i_m)
+        angles = rng.uniform(0.0, TWO_PI / m, (reps, 1)) + np.arange(m) * (TWO_PI / m)
+        v = draw_homodyne_variances(g_w, det, angles, n_events // m, rng)
+        counts = np.full(m, n_events // m, dtype=float)
+        fits = [partial(estimate_from_variances, th, vr, counts, det) for th, vr in zip(angles, v)]
+        ref = ref_hom
+    else:
+        rng = _unit_rng(int(cfg.seed), _DOM_UNIT_HET, i_n)
+        s = draw_heterodyne_covs(g_w, det, n_events, reps, rng)
+        fits = [partial(_estimate_het, sr, n_events, det, {}) for sr in s]
+        ref = ref_het
+    return (scheme, i_n, i_m), [_score(fit, ref) for fit in fits]
+
+
+def _score(fit, ref: CovMat) -> float:
     try:
-        if scheme == "hom":
-            rng = _unit_rng(seed, _DOM_UNIT_HOM, rep, i_n, i_m)
-            offset = rng.uniform(0.0, TWO_PI / m)
-            data_seed = int(rng.integers(0, 2**63))
-            d = sample_homodyne(g_w, det, AngleProtocol(m, offset), n_events // m, data_seed)
-            est = estimate_homodyne_ml(d, det)
-            if not est.diagnostics.converged:
-                return (scheme, rep, i_n, i_m), math.nan, True, False
-            ref = ref_hom
-        else:
-            rng = _unit_rng(seed, _DOM_UNIT_HET, rep, i_n, 0)
-            data_seed = int(rng.integers(0, 2**63))
-            d = sample_heterodyne(g_w, det, n_events, data_seed)
-            est = estimate_heterodyne(d, det)
-            ref = ref_het
-        dhs = hs_distance(est.g_w_hat, ref)
-        return (scheme, rep, i_n, i_m), dhs, False, est.diagnostics.psd_clipped
+        est = fit()
     except GaussTomoError:
-        return (scheme, rep, i_n, i_m), math.nan, True, False
+        return math.nan
+    return hs_distance(est.g_w_hat, ref) if est.diagnostics.converged else math.nan
 
 
 def _aggregate(values: list) -> CellStats:
@@ -273,9 +271,8 @@ def _versions() -> dict:
 def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     """Execute the full benchmark described by cfg.
 
-    workers > 1 spreads the independent units over a process pool; the
-    per-unit seeding and the sorted reduction keep the report identical
-    for any worker count.
+    workers > 1 spreads the independent cells over a process pool; the
+    per-cell seeding keeps the report identical for any worker count.
     """
     g_w = wigner_cov(cfg.state)
     if cfg.exact_truth:
@@ -298,34 +295,24 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         )
 
     tasks = []
-    for rep in range(cfg.repetitions):
-        for i_n, n_events in enumerate(cfg.sample_sizes):
-            for i_m, m in enumerate(cfg.angle_counts):
-                tasks.append(("hom", rep, i_n, i_m, n_events, m))
-            tasks.append(("het", rep, i_n, 0, n_events, 0))
+    for i_n, n_events in enumerate(cfg.sample_sizes):
+        for i_m, m in enumerate(cfg.angle_counts):
+            tasks.append(("hom", i_n, i_m, n_events, m))
+        tasks.append(("het", i_n, 0, n_events, 0))
 
-    runner = partial(
-        _run_unit, g_w=g_w, det=cfg.det, seed=int(cfg.seed), ref_hom=ref_hom, ref_het=ref_het
-    )
-    results = {}
+    runner = partial(_run_cell, cfg=cfg, ref_hom=ref_hom, ref_het=ref_het)
     if workers <= 1:
-        for task in tasks:
-            key, dhs, failed, clipped = runner(task)
-            results[key] = dhs
+        results = dict(map(runner, tasks))
     else:
-        chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, dhs, failed, clipped in pool.map(runner, tasks, chunksize=chunk):
-                results[key] = dhs
+            results = dict(pool.map(runner, tasks))
 
     hom_stats = {}
     het_stats = {}
     for i_n, n_events in enumerate(cfg.sample_sizes):
         for i_m, m in enumerate(cfg.angle_counts):
-            values = [results[("hom", rep, i_n, i_m)] for rep in range(cfg.repetitions)]
-            hom_stats[(n_events, m)] = _aggregate(values)
-        values = [results[("het", rep, i_n, 0)] for rep in range(cfg.repetitions)]
-        het_stats[n_events] = _aggregate(values)
+            hom_stats[(n_events, m)] = _aggregate(results[("hom", i_n, i_m)])
+        het_stats[n_events] = _aggregate(results[("het", i_n, 0)])
 
     gamma = {}
     for (n_events, m), hom in hom_stats.items():
@@ -401,7 +388,7 @@ def expected_hom_hs_error(
     total = 0.0
     for off in offsets:
         th = off + np.arange(m) * (TWO_PI / m)
-        sig2 = np.array([marginal_variance(g_noisy, t) for t in th])
+        sig2 = marginal_variance(g_noisy, th)
         c = np.cos(th)
         s = np.sin(th)
         u = np.stack([c * c, 2.0 * c * s, s * s], axis=1)

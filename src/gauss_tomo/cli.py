@@ -151,7 +151,10 @@ def _parse_range(raw: str) -> tuple:
     parts = str(raw).split(":")
     if len(parts) != 2:
         raise ConfigError(f"range must look like LOW:HIGH, got {raw!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"range bounds must be numbers, got {raw!r}") from exc
     if not (0.0 < lo <= hi):
         raise ConfigError(f"range bounds must be positive and ordered, got {raw!r}")
     return lo, hi
@@ -161,7 +164,10 @@ def _parse_grid(raw: str) -> tuple:
     parts = str(raw).lower().split("x")
     if len(parts) != 2:
         raise ConfigError(f"grid must look like ROWSxCOLS, got {raw!r}")
-    r, c = int(parts[0]), int(parts[1])
+    try:
+        r, c = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"grid dimensions must be integers, got {raw!r}") from exc
     if r < 1 or c < 1:
         raise ConfigError(f"grid dimensions must be >= 1, got {raw!r}")
     return r, c
@@ -289,7 +295,7 @@ def _cmd_benchmark(args) -> int:
     state = _resolve_state(res)
     det = _resolve_detection(res)
     seed = _resolve_seed(res)
-    sizes = res.get("samples", "run.samples", _cast_int_list, (1000, 10000))
+    sizes = res.get("samples", "run.samples", _cast_int_list, (1500, 15000))
     if isinstance(sizes, int):
         sizes = (sizes,)
     angle_counts = res.get("angles", "run.angles", _cast_int_list, (5, 10, 15))

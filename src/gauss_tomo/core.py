@@ -151,10 +151,13 @@ def to_heterodyne_cov(g_w: CovMat, det: DetectionModel) -> CovMat:
     return g_w.add_identity((2.0 - det.eta) / det.eta)
 
 
-def marginal_variance(g: CovMat, theta: float) -> float:
-    """Variance of the rotated quadrature x_theta: n^T g n, n = (cos, sin)."""
-    c = math.cos(theta)
-    s = math.sin(theta)
+def marginal_variance(g: CovMat, theta):
+    """Variance of the rotated quadrature x_theta: n^T g n, n = (cos, sin).
+
+    theta may be an angle or an array of angles of any shape.
+    """
+    c = np.cos(theta)
+    s = np.sin(theta)
     return g.g11 * c * c + 2.0 * g.g12 * c * s + g.g22 * s * s
 
 

@@ -186,16 +186,20 @@ def estimate_homodyne_wls(d: HomodyneDataset, det: DetectionModel) -> EstimateRe
     return _estimate_hom(d.angles, _angle_variances(d), d.counts, det, "wls", dict(d.meta))
 
 
+def _estimate_het(s, n: int, det: DetectionModel, meta: dict) -> EstimateResult:
+    """The one heterodyne core: the known-zero-mean sample covariance s of
+    n pairs to a PSD Wigner covariance."""
+    if n < 2:
+        raise TooFewSamples(f"need >= 2 pairs, got {n}")
+    g_w_hat, clipped = psd_project(_subtract_het_noise(CovMat.from_matrix(s), det))
+    diag = Diagnostics(0, True, clipped, None, None)
+    return EstimateResult(g_w_hat, "het", diag, meta)
+
+
 def estimate_heterodyne(d: HeterodyneDataset, det: DetectionModel) -> EstimateResult:
     """Sample-covariance estimator for heterodyne records (exact ML)."""
     n = d.pairs.shape[0]
-    if n < 2:
-        raise TooFewSamples(f"need >= 2 pairs, got {n}")
-    s = d.pairs.T @ d.pairs / n
-    raw = _subtract_het_noise(CovMat.from_matrix(s), det)
-    g_w_hat, clipped = psd_project(raw)
-    diag = Diagnostics(0, True, clipped, None, None)
-    return EstimateResult(g_w_hat, "het", diag, dict(d.meta))
+    return _estimate_het(d.pairs.T @ d.pairs / n, n, det, dict(d.meta))
 
 
 def estimate_from_variances(
@@ -208,8 +212,9 @@ def estimate_from_variances(
     """Fit a covariance from per-angle sample variances directly.
 
     The homodyne estimators only ever see (angle, variance, count)
-    triples, so callers that stream huge records can reduce them to
-    variances batch-wise and finish the reconstruction here.
+    triples, so callers that hold only the variances, such as the
+    Monte Carlo benchmark, which draws them from their exact law,
+    finish the reconstruction here.
     """
     return _estimate_hom(angles, variances, counts, det, method, {})
 

@@ -3,9 +3,15 @@
 Randomness discipline: every stream derives from numpy's PCG64 seeded
 through SeedSequence(seed, spawn_key=(domain, index, batch)).  Domains
 keep the streams disjoint (0 homodyne draws, 1 heterodyne draws,
-2 homodyne shuffling, 3 heterodyne rotations); the batch axis lets huge
-records be produced in chunks, so results are identical no matter how
-the work is split.  The scheme is tagged in dataset metadata as "rng".
+2 homodyne shuffling, 3 heterodyne rotations); the batch axis cuts a
+record into SAMPLING_BATCH-event chunks with streams of their own, so
+the first events of a record do not depend on its length.  The scheme
+is tagged in dataset metadata as "rng".
+
+Next to the event samplers sit exact-law draws of the statistics a
+record reduces to (per-angle variances, the heterodyne sample
+covariance), for callers that need only those; they take the caller's
+generator.
 """
 
 from __future__ import annotations
@@ -154,12 +160,7 @@ def _base_meta(scheme: str, g_w: CovMat, det: DetectionModel, seed: int) -> dict
 
 def _homodyne_sigmas(g_w: CovMat, det: DetectionModel, angles: np.ndarray) -> np.ndarray:
     g_hom = to_homodyne_cov(g_w, det)
-    return np.sqrt(
-        [
-            marginal_variance(g_hom, th) + marginal_variance(det.g_elec, th)
-            for th in angles
-        ]
-    )
+    return np.sqrt(marginal_variance(g_hom, angles) + marginal_variance(det.g_elec, angles))
 
 
 def sample_homodyne(
@@ -198,35 +199,21 @@ def sample_homodyne(
     return HomodyneDataset(tuple(float(a) for a in angles), tuple(samples), meta)
 
 
-def homodyne_sample_variances(
+def draw_homodyne_variances(
     g_w: CovMat,
     det: DetectionModel,
-    protocol: AngleProtocol,
+    angles: np.ndarray,
     n_per_angle: int,
-    seed: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-angle sample variances of the record sample_homodyne would draw.
+    """Per-angle sample variances of homodyne records, from their exact law.
 
-    Streams batch-wise, so arbitrarily large records never materialize.
-    Uses the same generator streams as sample_homodyne; only the order of
-    the final summation differs (per-batch partial sums).
+    angles may have any shape, such as (reps, m); each entry gets the
+    known-zero-mean sample variance of n_per_angle events at that angle,
+    sigma_theta^2 * chi2_n / n, with sigma_theta as in sample_homodyne.
     """
-    seed = _check_seed(seed)
-    if not g_w.physical:
-        raise ValueError(f"g_w must be positive semidefinite, got {g_w}")
-    n_per_angle = int(n_per_angle)
-    if n_per_angle < 1:
-        raise ValueError(f"n_per_angle must be >= 1, got {n_per_angle}")
-    angles = protocol.angles
     sigmas = _homodyne_sigmas(g_w, det, angles)
-    v = np.empty(len(angles))
-    for i, sd in enumerate(sigmas):
-        ssq = 0.0
-        for b, count in _batch_sizes(n_per_angle):
-            x = sd * _rng(seed, _DOM_HOM, i, b).standard_normal(count)
-            ssq += float(np.sum(x * x))
-        v[i] = ssq / n_per_angle
-    return v
+    return sigmas * sigmas * rng.chisquare(n_per_angle, sigmas.shape) / n_per_angle
 
 
 def _heterodyne_chol(g_w: CovMat, det: DetectionModel) -> np.ndarray:
@@ -265,26 +252,28 @@ def sample_heterodyne(
     return HeterodyneDataset(_freeze(pairs), meta)
 
 
-def heterodyne_sample_cov(
+def draw_heterodyne_covs(
     g_w: CovMat,
     det: DetectionModel,
     n_pairs: int,
-    seed: int,
+    reps: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample covariance (known zero mean) of the record sample_heterodyne
-    would draw, accumulated batch-wise without materializing it."""
-    seed = _check_seed(seed)
-    if not g_w.physical:
-        raise ValueError(f"g_w must be positive semidefinite, got {g_w}")
-    n_pairs = int(n_pairs)
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    """reps sample covariances (known zero mean) of n_pairs-pair heterodyne
+    records, from their exact law, as a (reps, 2, 2) array.
+
+    n S is Wishart(n, Sigma) with Sigma = L L^T the covariance
+    sample_heterodyne draws from; the Bartlett decomposition gives
+    S = L A A^T L^T / n with A lower triangular, A11^2 ~ chi2_n,
+    A22^2 ~ chi2_{n-1} and A21 ~ N(0, 1).  Needs n_pairs >= 2.
+    """
     chol = _heterodyne_chol(g_w, det)
-    acc = np.zeros((2, 2))
-    for b, count in _batch_sizes(n_pairs):
-        y = _rng(seed, _DOM_HET, 0, b).standard_normal((count, 2)) @ chol.T
-        acc += y.T @ y
-    return acc / n_pairs
+    a = np.zeros((reps, 2, 2))
+    a[:, 0, 0] = np.sqrt(rng.chisquare(n_pairs, reps))
+    a[:, 1, 0] = rng.standard_normal(reps)
+    a[:, 1, 1] = np.sqrt(rng.chisquare(n_pairs - 1, reps))
+    la = chol @ a
+    return la @ la.transpose(0, 2, 1) / n_pairs
 
 
 def thermalize_homodyne(d: HomodyneDataset, seed: int) -> HomodyneDataset:

@@ -188,8 +188,10 @@ def _gamma_cell(spec, seed, n=10_000, m=10, reps=200):
 
 def test_criterion_06_gamma_sign_structure(capsys):
     seed = 603
-    g_vac, _, a_vac = _gamma_cell(STATES["vacuum"], seed)
-    g_bri, _, a_bri = _gamma_cell(STATES["thermal-bright"], seed + 10)
+    # 3000 reps, as in the crossover probes: at 200 reps the +-0.1 and
+    # +-0.05 bounds would be only about 1 and 2 standard errors wide
+    g_vac, _, a_vac = _gamma_cell(STATES["vacuum"], seed, reps=3000)
+    g_bri, _, a_bri = _gamma_cell(STATES["thermal-bright"], seed + 10, reps=3000)
     g_sq1, _, _ = _gamma_cell(STATES["strong-sqz"], seed + 20)
     g_sq2, _, _ = _gamma_cell(STATES["weak-sqz"], seed + 30)
     # analytic crossover of the isotropic ratio 6(mu+1)^2 / (20 mu^2)

@@ -179,6 +179,14 @@ class TestBenchmarkCommand:
         assert ja == jb
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_default_grid_is_valid(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "benchmark", "--reps", "30", "--exact-truth", "--out", str(tmp_path / "x"),
+        )
+        assert code == 0, err
+        payload = json.loads((tmp_path / "x.json").read_text())
+        assert payload["config"]["sample_sizes"] == [1500, 15000]
+
     def test_invalid_sample_split(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -202,8 +210,16 @@ class TestGammaMapCommand:
         assert float(first[2]) == pytest.approx(1.2, rel=1e-6)
 
     def test_bad_grid(self, capsys):
-        code, _, err = run(capsys, "gamma-map", "--grid", "0x5", "--analytic")
-        assert code == 2
+        for extra in (
+            ["--grid", "0x5"],
+            ["--grid", "axb"],
+            ["--mu-range", "a:b"],
+            ["--lambda-range", "1:x"],
+        ):
+            code, _, err = run(capsys, "gamma-map", *extra, "--analytic")
+            assert code == 2, extra
+            assert err.startswith("error: ConfigError:"), extra
+            assert err.count("\n") == 1, extra
 
 
 class TestGaussianityCommand:

@@ -10,6 +10,7 @@ from gauss_tomo import (
     InvalidProtocol,
     RaggedDataset,
     StateSpec,
+    expected_het_hs_error,
     marginal_variance,
     sample_heterodyne,
     sample_homodyne,
@@ -23,8 +24,9 @@ from gauss_tomo.sampling import (
     SAMPLING_BATCH,
     HeterodyneDataset,
     HomodyneDataset,
-    heterodyne_sample_cov,
-    homodyne_sample_variances,
+    _homodyne_sigmas,
+    draw_heterodyne_covs,
+    draw_homodyne_variances,
 )
 
 STATE = StateSpec(6.44, 11.61, 0.3)
@@ -108,20 +110,34 @@ class TestHomodyneSampling:
             # sample variance of x^2 is 2*want^2/n
             assert abs(got - want) < 5.0 * want * math.sqrt(2.0 / n)
 
-    def test_streaming_variances_match_dataset(self):
-        prot = AngleProtocol(4, 0.05)
-        d = sample_homodyne(G_W, DET, prot, 5000, 33)
-        v = homodyne_sample_variances(G_W, DET, prot, 5000, 33)
-        direct = np.array([np.mean(x * x) for x in d.samples])
-        np.testing.assert_allclose(v, direct, rtol=1e-12)
+    def test_sigmas_match_marginal_variance(self):
+        angles = AngleProtocol(7, 0.3).angles
+        g_hom = to_homodyne_cov(G_W, DET)
+        want = [
+            math.sqrt(marginal_variance(g_hom, th) + marginal_variance(DET.g_elec, th))
+            for th in angles
+        ]
+        np.testing.assert_array_equal(_homodyne_sigmas(G_W, DET, angles), want)
+        grid = np.stack([angles, angles[::-1]])
+        np.testing.assert_array_equal(_homodyne_sigmas(G_W, DET, grid)[1], want[::-1])
 
-    def test_streaming_variances_cross_batch_boundary(self):
-        n = SAMPLING_BATCH + 4321
-        prot = AngleProtocol(1)
-        d = sample_homodyne(G_W, DET, prot, n, 5)
-        assert d.samples[0].size == n
-        v = homodyne_sample_variances(G_W, DET, prot, n, 5)
-        np.testing.assert_allclose(v[0], np.mean(d.samples[0] ** 2), rtol=1e-12)
+    def test_variance_draws_follow_scaled_chi_square(self):
+        # v = sigma^2 chi2_n / n has mean sigma^2 and variance 2 sigma^4 / n
+        n, reps = 50, 40_000
+        angles = AngleProtocol(3, 0.1).angles
+        v = draw_homodyne_variances(
+            G_W, DET, np.tile(angles, (reps, 1)), n, np.random.default_rng(71)
+        )
+        assert v.shape == (reps, 3)
+        sig2 = _homodyne_sigmas(G_W, DET, angles) ** 2
+        mean = v.mean(axis=0)
+        z_mean = (mean - sig2) / (v.std(axis=0, ddof=1) / math.sqrt(reps))
+        dev2 = (v - mean) ** 2
+        z_var = (dev2.mean(axis=0) - 2.0 * sig2**2 / n) / (
+            dev2.std(axis=0, ddof=1) / math.sqrt(reps)
+        )
+        assert np.all(np.abs(z_mean) < 3.0), z_mean
+        assert np.all(np.abs(z_var) < 3.0), z_var
 
 
 class TestHeterodyneSampling:
@@ -143,10 +159,19 @@ class TestHeterodyneSampling:
         scale = math.sqrt(want[0, 0] * want[1, 1])
         assert np.max(np.abs(got - want)) < 6.0 * scale / math.sqrt(n)
 
-    def test_streaming_cov_matches_dataset(self):
-        d = sample_heterodyne(G_W, DET, 3000, 13)
-        s = heterodyne_sample_cov(G_W, DET, 3000, 13)
-        np.testing.assert_allclose(s, d.pairs.T @ d.pairs / 3000, rtol=1e-12)
+    def test_bartlett_draws_follow_wishart(self):
+        # mean S = Sigma, and mean D_HS(S, Sigma) is the exact expected error
+        n, reps = 40, 40_000
+        s = draw_heterodyne_covs(G_W, DET, n, reps, np.random.default_rng(72))
+        assert s.shape == (reps, 2, 2)
+        sigma = to_heterodyne_cov(G_W, DET).matrix + DET.g_elec.matrix
+        z_mean = (s.mean(axis=0) - sigma) / (s.std(axis=0, ddof=1) / math.sqrt(reps))
+        diff = s - sigma
+        dhs = np.einsum("rij,rji->r", diff, diff)
+        want = expected_het_hs_error(STATE, DET, n)
+        z_dhs = (dhs.mean() - want) / (dhs.std(ddof=1) / math.sqrt(reps))
+        assert np.all(np.abs(z_mean) < 3.0), z_mean
+        assert abs(z_dhs) < 3.0, z_dhs
 
 
 class TestThermalize:
@@ -194,6 +219,20 @@ class TestThermalize:
         mean_var = 0.5 * (to_heterodyne_cov(G_W, DetectionModel(1.0)).trace)
         assert abs(s[0, 0] - mean_var) < 6.0 * mean_var * math.sqrt(2.0 / n) * 2.0
         assert abs(s[0, 1]) < 6.0 * mean_var / math.sqrt(n) * 2.0
+
+
+def test_first_batch_independent_of_record_length():
+    # each SAMPLING_BATCH-event chunk has its own stream, so a longer record
+    # extends a shorter one instead of redrawing it
+    n = SAMPLING_BATCH + 4321
+    prot = AngleProtocol(1)
+    long_hom = sample_homodyne(G_W, DET, prot, n, 5).samples[0]
+    short_hom = sample_homodyne(G_W, DET, prot, SAMPLING_BATCH, 5).samples[0]
+    assert long_hom.size == n
+    np.testing.assert_array_equal(long_hom[:SAMPLING_BATCH], short_hom)
+    long_het = sample_heterodyne(G_W, DET, n, 5).pairs
+    short_het = sample_heterodyne(G_W, DET, SAMPLING_BATCH, 5).pairs
+    np.testing.assert_array_equal(long_het[:SAMPLING_BATCH], short_het)
 
 
 def test_invalid_seed_rejected():
