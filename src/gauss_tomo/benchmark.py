@@ -13,7 +13,9 @@ variances sigma^2 chi2_n / n, a heterodyne one its sample covariance
 from Wishart(N, Sigma) / N.  Each cell, (N, m) homodyne or N
 heterodyne, derives its own generator from (root seed, cell index) and
 draws all its repetitions from it, so reports are bit-identical for any
-worker count.
+worker count.  A cell is then fitted as one batch: its R repetitions are
+the rows of one call to the row estimator cores, which give each row the
+result it would get alone, and are projected and scored as arrays.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from .core import (
     CovMat,
     DetectionModel,
     StateSpec,
-    hs_distance,
     marginal_variance,
     to_heterodyne_cov,
     to_homodyne_cov,
     wigner_cov,
 )
 from .errors import ConfigError, GaussTomoError, SingularMatrix
-from .estimation import _estimate_het, estimate_from_variances
+from .estimation import _estimate_het, _fit_het_rows, _fit_hom_rows, estimate_from_variances
 from .sampling import TWO_PI, AngleProtocol, draw_heterodyne_covs, draw_homodyne_variances
 
 GAMMA_MIN_REPS = 30
@@ -58,6 +59,21 @@ def _unit_rng(root_seed: int, *key: int) -> np.random.Generator:
 def _distinct_mod_pi(m: int) -> int:
     # equally spaced over [0, 2*pi): even m folds onto m/2 angles mod pi
     return m // 2 if m % 2 == 0 else m
+
+
+def _check_angle_count(m: int) -> None:
+    if _distinct_mod_pi(m) < 3:
+        raise ConfigError(
+            f"angle count {m} gives {_distinct_mod_pi(m)} angles distinct mod pi; need >= 3"
+        )
+
+
+def _check_split(n: int, m: int) -> None:
+    # n events spread evenly over m angles, at least 2 per angle
+    if n % m != 0:
+        raise ConfigError(f"sample size {n} not divisible by angle count {m}")
+    if n // m < 2:
+        raise ConfigError(f"sample size {n} leaves < 2 events per angle at m={m}")
 
 
 @dataclass(frozen=True)
@@ -84,15 +100,9 @@ class BenchmarkConfig:
         if not counts:
             raise ConfigError("angle_counts must be non-empty")
         for m in counts:
-            if _distinct_mod_pi(m) < 3:
-                raise ConfigError(
-                    f"angle count {m} gives {_distinct_mod_pi(m)} angles distinct mod pi; need >= 3"
-                )
+            _check_angle_count(m)
             for n in sizes:
-                if n % m != 0:
-                    raise ConfigError(f"sample size {n} not divisible by angle count {m}")
-                if n // m < 2:
-                    raise ConfigError(f"sample size {n} leaves < 2 events per angle at m={m}")
+                _check_split(n, m)
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if int(self.seed) < 0:
@@ -223,10 +233,10 @@ def build_reference(
 def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
     """All repetitions of one (N, m) homodyne or N heterodyne cell.
 
-    Draws the cell's statistics, then fits and scores the repetitions in
-    order.  Returns (key, dhs) with one distance per repetition, NaN
-    where the fit failed; failures are excluded from averages but always
-    counted.
+    Draws the cell's statistics, then fits and scores all repetitions as
+    one batch of rows.  Returns (key, dhs) with one distance per
+    repetition, NaN where the fit failed or did not converge; failures
+    are excluded from averages but always counted.
     """
     scheme, i_n, i_m, n_events, m = task
     g_w, det, reps = wigner_cov(cfg.state), cfg.det, cfg.repetitions
@@ -235,22 +245,17 @@ def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
         angles = rng.uniform(0.0, TWO_PI / m, (reps, 1)) + np.arange(m) * (TWO_PI / m)
         v = draw_homodyne_variances(g_w, det, angles, n_events // m, rng)
         counts = np.full(m, n_events // m, dtype=float)
-        fits = [partial(estimate_from_variances, th, vr, counts, det) for th, vr in zip(angles, v)]
-        ref = ref_hom
+        rows = _fit_hom_rows(angles, v, counts, det, "ml")
+        cov, ok, ref = rows.cov, rows.converged, ref_hom
     else:
         rng = _unit_rng(int(cfg.seed), _DOM_UNIT_HET, i_n)
         s = draw_heterodyne_covs(g_w, det, n_events, reps, rng)
-        fits = [partial(_estimate_het, sr, n_events, det, {}) for sr in s]
-        ref = ref_het
-    return (scheme, i_n, i_m), [_score(fit, ref) for fit in fits]
-
-
-def _score(fit, ref: CovMat) -> float:
-    try:
-        est = fit()
-    except GaussTomoError:
-        return math.nan
-    return hs_distance(est.g_w_hat, ref) if est.diagnostics.converged else math.nan
+        cov, _ = _fit_het_rows(s, n_events, det)
+        ok, ref = np.ones(reps, dtype=bool), ref_het
+    d = cov - [ref.g11, ref.g12, ref.g22]
+    # core.hs_distance, row by row
+    dhs = d[:, 0] * d[:, 0] + d[:, 2] * d[:, 2] + 2.0 * d[:, 1] * d[:, 1]
+    return (scheme, i_n, i_m), np.where(ok, dhs, math.nan)
 
 
 def _aggregate(values: list) -> CellStats:
@@ -385,20 +390,21 @@ def expected_hom_hs_error(
     else:
         offsets = np.array([float(offset)])
     n_theta = n_events / m
+    th = offsets[:, None] + np.arange(m) * (TWO_PI / m)
+    sig2 = marginal_variance(g_noisy, th)
+    c = np.cos(th)
+    s = np.sin(th)
+    u = np.stack([c * c, 2.0 * c * s, s * s], axis=-1)
+    w = n_theta / (2.0 * sig2**2)
+    info = np.swapaxes(u * w[..., None], -1, -2) @ u
+    scale = np.abs(info).max(axis=(-2, -1))
+    if np.any(scale == 0.0) or np.any(np.abs(np.linalg.det(info)) < 1e-13 * scale**3):
+        raise SingularMatrix("Fisher information is singular for this protocol")
+    inv = np.linalg.inv(info)
+    traces = np.sum(_HS_WEIGHTS * np.diagonal(inv, axis1=-2, axis2=-1), axis=-1)
     total = 0.0
-    for off in offsets:
-        th = off + np.arange(m) * (TWO_PI / m)
-        sig2 = marginal_variance(g_noisy, th)
-        c = np.cos(th)
-        s = np.sin(th)
-        u = np.stack([c * c, 2.0 * c * s, s * s], axis=1)
-        w = n_theta / (2.0 * sig2**2)
-        info = (u * w[:, None]).T @ u
-        scale = float(np.abs(info).max())
-        if scale == 0.0 or abs(np.linalg.det(info)) < 1e-13 * scale**3:
-            raise SingularMatrix("Fisher information is singular for this protocol")
-        inv = np.linalg.inv(info)
-        total += float(np.sum(_HS_WEIGHTS * np.diag(inv)))
+    for t in traces:  # in offset order, as a Python float sum
+        total += float(t)
     return total / offsets.size
 
 
@@ -431,15 +437,20 @@ def gamma_map(
     """Evaluate gamma over the (mu, lambda) grid.
 
     Returns plot-ready rows {mu, lambda, gamma}; cells whose evaluation
-    fails carry gamma = NaN.  Empirical cells run a one-cell benchmark
-    against the exact covariance with per-cell derived seeds.
+    fails numerically carry gamma = NaN.  A protocol that no cell can
+    use raises ConfigError before any cell runs.  Empirical cells run a
+    one-cell benchmark against the exact covariance with per-cell
+    derived seeds.
     """
     mu_values = [float(v) for v in mu_values]
     lam_values = [float(v) for v in lam_values]
-    if not analytic and repetitions < GAMMA_MIN_REPS:
-        raise ConfigError(
-            f"empirical gamma needs >= {GAMMA_MIN_REPS} repetitions, got {repetitions}"
-        )
+    _check_angle_count(int(angle_count))
+    if not analytic:
+        _check_split(int(n_events), int(angle_count))
+        if repetitions < GAMMA_MIN_REPS:
+            raise ConfigError(
+                f"empirical gamma needs >= {GAMMA_MIN_REPS} repetitions, got {repetitions}"
+            )
     cells = [
         (i, j, mu, lam)
         for i, mu in enumerate(mu_values)

@@ -155,8 +155,8 @@ def _parse_range(raw: str) -> tuple:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"range bounds must be numbers, got {raw!r}") from exc
-    if not (0.0 < lo <= hi):
-        raise ConfigError(f"range bounds must be positive and ordered, got {raw!r}")
+    if not (0.0 < lo <= hi and math.isfinite(hi)):
+        raise ConfigError(f"range bounds must be positive, finite and ordered, got {raw!r}")
     return lo, hi
 
 

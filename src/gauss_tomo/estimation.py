@@ -7,13 +7,17 @@ the scaled chi-square likelihood of the variances) or by weighted least
 squares.  Heterodyne records use the known-zero-mean sample covariance,
 which is already the ML estimator.  Both paths then subtract detection
 and electronic noise and project the result to the PSD cone.
+
+Each scheme has one core that works on rows, many records at once
+(`_fit_hom_rows`, `_fit_het_rows`); the single-record estimators are
+one-row views of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -85,6 +89,24 @@ def psd_project(g: CovMat) -> tuple[CovMat, bool]:
     return CovMat.from_matrix(out), True
 
 
+def _psd_project_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psd_project on every row (g11, g12, g22) of g, shape (R, 3).
+
+    The closed-form 2x2 eigenvalues pick the rows whose low eigenvalue is
+    negative or within rounding of zero, and only those go through
+    psd_project, so each row gets exactly what psd_project returns for it.
+    """
+    half_tr = 0.5 * (g[:, 0] + g[:, 2])
+    half_gap = 0.5 * np.hypot(g[:, 0] - g[:, 2], 2.0 * g[:, 1])
+    near = half_tr - half_gap <= 1e-9 * (np.abs(half_tr) + half_gap)
+    out = g.copy()
+    clipped = np.zeros(g.shape[0], dtype=bool)
+    for r in np.flatnonzero(near):
+        p, clipped[r] = psd_project(CovMat(*g[r].tolist()))
+        out[r] = p.g11, p.g12, p.g22
+    return out, clipped
+
+
 def extract_params(g: CovMat) -> StateSpec:
     """Invert the (mu, lambda, orientation) parametrization.
 
@@ -109,14 +131,10 @@ def extract_params(g: CovMat) -> StateSpec:
     return StateSpec(mu, lam, orientation)
 
 
-def _angle_design(angles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    th = np.asarray(angles, dtype=float)
-    folded = np.unique(np.round(np.mod(th, math.pi), 9))
-    if folded.size < 3:
-        raise Underdetermined(
-            f"{folded.size} angle(s) distinct modulo pi; need >= 3 to identify the covariance"
-        )
-    return th, np.cos(2.0 * th), np.sin(2.0 * th)
+def _distinct_angles(th: np.ndarray) -> np.ndarray:
+    # per row, the number of angles distinct modulo pi (to 1e-9 rad)
+    f = np.sort(np.round(np.mod(th, math.pi), 9), axis=-1)
+    return np.count_nonzero(f[:, 1:] != f[:, :-1], axis=-1) + (f.shape[-1] > 0)
 
 
 def _angle_variances(d: HomodyneDataset) -> list:
@@ -124,45 +142,94 @@ def _angle_variances(d: HomodyneDataset) -> list:
     return [float(np.mean(x * x)) if x.size else 0.0 for x in d.samples]
 
 
-def _subtract_hom_noise(g_meas: CovMat, det: DetectionModel) -> CovMat:
-    return g_meas.add_identity(-(1.0 - det.eta) / det.eta) - det.g_elec
+def _subtract_noise(g: np.ndarray, det: DetectionModel, shot: float) -> np.ndarray:
+    # rows (g11, g12, g22) of a measured covariance minus the detection
+    # noise ((shot - eta)/eta) I + g_elec: shot = 1 for homodyne, 2 for heterodyne
+    c = -(shot - det.eta) / det.eta
+    e = det.g_elec
+    return np.stack([g[:, 0] + c - e.g11, g[:, 1] - e.g12, g[:, 2] + c - e.g22], axis=-1)
 
 
-def _subtract_het_noise(g_meas: CovMat, det: DetectionModel) -> CovMat:
-    return g_meas.add_identity(-(2.0 - det.eta) / det.eta) - det.g_elec
+# Per-row failure causes of _fit_hom_rows, in the order they are tested.
+FITTED, FEW_ANGLES, FEW_SAMPLES, ZERO_VARIANCE, SINGULAR_WLS = range(5)
 
 
-def _a_to_cov(a) -> CovMat:
-    return CovMat(float(a[0] + a[1]), float(a[2]), float(a[0] - a[1]))
+class HomRows(NamedTuple):
+    cov: np.ndarray  # (R, 3) PSD Wigner covariances (g11, g12, g22); NaN where failed
+    failed: np.ndarray  # (R,) failure cause, FITTED where the row was fitted
+    converged: np.ndarray  # (R,) bool, False where failed
+    clipped: np.ndarray  # (R,) bool
+    iters: np.ndarray  # (R,) int
+    loglik: np.ndarray  # (R,)
+
+
+def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -> HomRows:
+    """The one homodyne core: rows of (angles, variances), shape (R, m),
+    with shared counts (m,) to PSD Wigner covariances, fitted by ML
+    ("ml") or WLS ("wls").  A row that cannot be fitted is reported in
+    failed instead of raising."""
+    th = np.asarray(angles, dtype=float)
+    v = np.asarray(variances, dtype=float)
+    n = np.asarray(counts, dtype=float)
+    if th.ndim != 2 or v.shape != th.shape or n.shape != th.shape[1:]:
+        raise ValueError("angles, variances and counts must have equal length")
+    if method not in ("ml", "wls"):
+        raise ValueError(f"method must be 'ml' or 'wls', got {method!r}")
+    rows = th.shape[0]
+    failed = np.select(
+        [_distinct_angles(th) < 3, np.any(n < 2), np.any(v <= 0.0, axis=-1)],
+        [FEW_ANGLES, FEW_SAMPLES, ZERO_VARIANCE],
+        FITTED,
+    )
+    fit = np.flatnonzero(failed == FITTED)
+    vf, c2, s2 = v[fit], np.cos(2.0 * th[fit]), np.sin(2.0 * th[fit])
+    if method == "ml":
+        a, lik, iters, converged = _kernels.ml_fit_rows(vf, n, c2, s2, ML_MAX_ITER, ML_TOL)
+    else:
+        a, ok = _kernels.wls_fit_rows(vf, n, c2, s2)
+        lik = _kernels.loglik_rows(a, vf, n, c2, s2)
+        iters, converged = np.ones(fit.size, dtype=np.int64), ok
+        failed[fit[~ok]] = SINGULAR_WLS
+        fit, a, lik, iters, converged = fit[ok], a[ok], lik[ok], iters[ok], converged[ok]
+    g = np.stack([a[:, 0] + a[:, 1], a[:, 2], a[:, 0] - a[:, 1]], axis=-1)
+    out = HomRows(
+        np.full((rows, 3), np.nan),
+        failed,
+        np.zeros(rows, dtype=bool),
+        np.zeros(rows, dtype=bool),
+        np.zeros(rows, dtype=np.int64),
+        np.full(rows, np.nan),
+    )
+    out.cov[fit], out.clipped[fit] = _psd_project_rows(_subtract_noise(g, det, 1.0))
+    out.converged[fit], out.iters[fit], out.loglik[fit] = converged, iters, lik
+    return out
 
 
 def _estimate_hom(
     angles, variances, counts, det: DetectionModel, method: str, meta: dict
 ) -> EstimateResult:
-    """The one homodyne core: (angles, variances, counts) to a PSD Wigner
-    covariance, fitted by ML ("ml") or WLS ("wls")."""
-    _, c2, s2 = _angle_design(angles)
-    v = np.asarray(variances, dtype=float)
-    n = np.asarray(counts, dtype=float)
-    if v.shape != c2.shape or n.shape != c2.shape:
-        raise ValueError("angles, variances and counts must have equal length")
-    if np.any(n < 2):
+    """One homodyne problem through _fit_hom_rows; a failed row raises."""
+    rows = _fit_hom_rows([angles], [variances], counts, det, method)
+    cause = rows.failed[0]
+    if cause == FEW_ANGLES:
+        k = _distinct_angles(np.asarray([angles], dtype=float))[0]
+        raise Underdetermined(
+            f"{k} angle(s) distinct modulo pi; need >= 3 to identify the covariance"
+        )
+    if cause == FEW_SAMPLES:
         raise TooFewSamples(f"need >= 2 samples per angle, got counts {counts}")
-    if np.any(v <= 0.0):
+    if cause == ZERO_VARIANCE:
         raise DegenerateVariance("zero sample variance at some angle")
-    if method == "ml":
-        a, lik, iters, converged = _kernels.ml_fit(v, n, c2, s2, ML_MAX_ITER, ML_TOL)
-    elif method == "wls":
-        a, ok = _kernels.wls_fit(v, n, c2, s2)
-        if not ok:
-            raise Underdetermined("weighted normal equations are singular")
-        lik = _kernels.loglik(a[0], a[1], a[2], v, n, c2, s2)
-        iters, converged = 1, True
-    else:
-        raise ValueError(f"method must be 'ml' or 'wls', got {method!r}")
-    g_w_hat, clipped = psd_project(_subtract_hom_noise(_a_to_cov(a), det))
-    diag = Diagnostics(int(iters), bool(converged), clipped, v, float(lik))
-    return EstimateResult(g_w_hat, "hom", diag, meta)
+    if cause == SINGULAR_WLS:
+        raise Underdetermined("weighted normal equations are singular")
+    diag = Diagnostics(
+        int(rows.iters[0]),
+        bool(rows.converged[0]),
+        bool(rows.clipped[0]),
+        np.asarray(variances, dtype=float),
+        float(rows.loglik[0]),
+    )
+    return EstimateResult(CovMat(*rows.cov[0].tolist()), "hom", diag, meta)
 
 
 def estimate_homodyne_ml(d: HomodyneDataset, det: DetectionModel) -> EstimateResult:
@@ -186,14 +253,24 @@ def estimate_homodyne_wls(d: HomodyneDataset, det: DetectionModel) -> EstimateRe
     return _estimate_hom(d.angles, _angle_variances(d), d.counts, det, "wls", dict(d.meta))
 
 
-def _estimate_het(s, n: int, det: DetectionModel, meta: dict) -> EstimateResult:
-    """The one heterodyne core: the known-zero-mean sample covariance s of
-    n pairs to a PSD Wigner covariance."""
+def _fit_het_rows(s, n: int, det: DetectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """The one heterodyne core: known-zero-mean sample covariances s,
+    shape (R, 2, 2), of n pairs each to PSD Wigner covariances (R, 3)
+    and clip flags."""
     if n < 2:
         raise TooFewSamples(f"need >= 2 pairs, got {n}")
-    g_w_hat, clipped = psd_project(_subtract_het_noise(CovMat.from_matrix(s), det))
-    diag = Diagnostics(0, True, clipped, None, None)
-    return EstimateResult(g_w_hat, "het", diag, meta)
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 3 or s.shape[1:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {s.shape[1:]}")
+    g = np.stack([s[:, 0, 0], 0.5 * (s[:, 0, 1] + s[:, 1, 0]), s[:, 1, 1]], axis=-1)
+    return _psd_project_rows(_subtract_noise(g, det, 2.0))
+
+
+def _estimate_het(s, n: int, det: DetectionModel, meta: dict) -> EstimateResult:
+    """One heterodyne sample covariance through _fit_het_rows."""
+    cov, clipped = _fit_het_rows([s], n, det)
+    diag = Diagnostics(0, True, bool(clipped[0]), None, None)
+    return EstimateResult(CovMat(*cov[0].tolist()), "het", diag, meta)
 
 
 def estimate_heterodyne(d: HeterodyneDataset, det: DetectionModel) -> EstimateResult:

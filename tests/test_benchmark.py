@@ -13,9 +13,12 @@ from gauss_tomo import (
     gamma_analytic,
     gamma_map,
     hs_distance,
+    marginal_variance,
     run_benchmark,
+    to_homodyne_cov,
     wigner_cov,
 )
+from gauss_tomo import benchmark
 from gauss_tomo.benchmark import build_reference
 from gauss_tomo.errors import ConfigError
 
@@ -133,6 +136,28 @@ class TestRunBenchmark:
         assert abs(g0 - g1) < 3.0 * math.hypot(s0, s1)
 
 
+class TestRunCell:
+    def test_zero_variance_row_fails_alone(self, monkeypatch):
+        cfg = small_cfg(sample_sizes=(600,), angle_counts=(5,), repetitions=40)
+        g = wigner_cov(VAC)
+        task = ("hom", 0, 0, 600, 5)
+        _, clean = benchmark._run_cell(task, cfg, g, g)
+        draw = benchmark.draw_homodyne_variances
+
+        def draw_with_zero(*args):
+            v = draw(*args)
+            v[3, 2] = 0.0
+            return v
+
+        monkeypatch.setattr(benchmark, "draw_homodyne_variances", draw_with_zero)
+        _, dhs = benchmark._run_cell(task, cfg, g, g)
+        assert np.isnan(dhs[3])
+        assert not np.any(np.isnan(clean))
+        assert np.array_equal(np.delete(dhs, 3), np.delete(clean, 3))
+        stats = run_benchmark(cfg).hom[(600, 5)]
+        assert (stats.used, stats.failed) == (39, 1)
+
+
 class TestBuildReference:
     def test_exact_reference_is_truth(self):
         g = build_reference(STATE := StateSpec(3.0, 2.0, 0.4), DET1, "hom", 0, 1, exact=True)
@@ -172,6 +197,32 @@ class TestExpectedErrors:
         mc = total / reps
         want = expected_het_hs_error(state, det, n)
         assert mc == pytest.approx(want, rel=0.1)
+
+    def test_hom_matches_per_offset_loop(self):
+        # the per-offset loop the stacked Fisher matrices replaced, kept as
+        # the reference; same arithmetic, so the same bits
+        def per_offset(state, det, m, n_events, offsets):
+            g = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
+            total = 0.0
+            for off in offsets:
+                th = off + np.arange(m) * (2.0 * np.pi / m)
+                sig2 = marginal_variance(g, th)
+                c, s = np.cos(th), np.sin(th)
+                u = np.stack([c * c, 2.0 * c * s, s * s], axis=1)
+                info = (u * (n_events / m / (2.0 * sig2**2))[:, None]).T @ u
+                total += float(np.sum(np.array([1.0, 2.0, 1.0]) * np.diag(np.linalg.inv(info))))
+            return total / len(offsets)
+
+        rng = np.random.default_rng(7)
+        det = DetectionModel(0.85, CovMat(0.01, 0.0, 0.01))
+        for m in (3, 5, 10, 15):
+            for _ in range(5):
+                state = StateSpec(rng.uniform(0.2, 8.0), rng.uniform(1.0, 15.0), rng.uniform(0, 3))
+                offsets = (np.arange(64) + 0.5) * (2.0 * np.pi / m) / 64
+                got = expected_hom_hs_error(state, det, m, 10_000)
+                assert got == per_offset(state, det, m, 10_000, offsets)
+                got = expected_hom_hs_error(state, det, m, 10_000, offset=0.3)
+                assert got == per_offset(state, det, m, 10_000, [0.3])
 
     def test_hom_iso_closed_form(self):
         # isotropic states: expected HS error is 20 sigma^4 / n for any m >= 3

@@ -215,11 +215,27 @@ class TestGammaMapCommand:
             ["--grid", "axb"],
             ["--mu-range", "a:b"],
             ["--lambda-range", "1:x"],
+            ["--grid", "2x2", "--mu-range", "1:inf"],
         ):
             code, _, err = run(capsys, "gamma-map", *extra, "--analytic")
             assert code == 2, extra
             assert err.startswith("error: ConfigError:"), extra
             assert err.count("\n") == 1, extra
+
+    def test_unusable_angle_count_fails_before_any_cell(self, capsys):
+        for extra in (["--analytic"], []):
+            code, stdout, err = run(capsys, "gamma-map", "--angles", "4", *extra)
+            assert code == 2, extra
+            assert err.startswith("error: ConfigError: angle count 4"), extra
+            assert err.count("\n") == 1, extra
+            assert stdout == ""
+
+    def test_indivisible_samples_fail_before_any_cell(self, capsys):
+        code, stdout, err = run(capsys, "gamma-map", "--samples", "1000", "--angles", "7")
+        assert code == 2
+        assert err.startswith("error: ConfigError: sample size 1000 not divisible")
+        assert err.count("\n") == 1
+        assert stdout == ""
 
 
 class TestGaussianityCommand:
