@@ -76,6 +76,13 @@ def _check_split(n: int, m: int) -> None:
         raise ConfigError(f"sample size {n} leaves < 2 events per angle at m={m}")
 
 
+def _check_gamma_reps(repetitions: int) -> None:
+    if repetitions < GAMMA_MIN_REPS:
+        raise ConfigError(
+            f"empirical gamma needs >= {GAMMA_MIN_REPS} repetitions, got {repetitions}"
+        )
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     state: StateSpec
@@ -447,10 +454,7 @@ def gamma_map(
     _check_angle_count(int(angle_count))
     if not analytic:
         _check_split(int(n_events), int(angle_count))
-        if repetitions < GAMMA_MIN_REPS:
-            raise ConfigError(
-                f"empirical gamma needs >= {GAMMA_MIN_REPS} repetitions, got {repetitions}"
-            )
+        _check_gamma_reps(int(repetitions))
     cells = [
         (i, j, mu, lam)
         for i, mu in enumerate(mu_values)
@@ -492,7 +496,7 @@ def _map_cell(cell, det=None, n_events=0, angle_count=0, repetitions=0, seed=0, 
             )
             report = run_benchmark(cfg)
             value = report.gamma[(n_events, angle_count)][0]
-    except (GaussTomoError, ValueError):
+    except (GaussTomoError, ValueError, OverflowError):
         value = math.nan
     return {"mu": mu, "lambda": lam, "gamma": value}
 
@@ -511,7 +515,9 @@ def find_isotropic_crossover(
     gamma decreases monotonically in mu for lambda = 1, from 1.2 at the
     vacuum toward 0.3; the crossover sits near mu = 1.21.  Each probe
     runs an exact-truth benchmark with a seed derived from (seed, step).
+    Too few repetitions to report gamma raise ConfigError before any probe.
     """
+    _check_gamma_reps(int(repetitions))
 
     def gamma_at(mu: float, step: int) -> float:
         cfg = BenchmarkConfig(

@@ -2,14 +2,19 @@
 
 Dataset CSV: first line `# gauss-tomo v1, scheme=..., seed=..., eta=...,
 <more key=value fields>, config=<hash16>`, second line the column names
-(theta,x for homodyne, x,p for heterodyne), then one event per row.
+(theta,x for homodyne, x,p for heterodyne), then one event per row,
+each value in %.17g (enough digits to read back bit for bit).
+Rows are formatted in blocks of _CSV_BLOCK_ROWS with one % operation
+per block, which gives the same bytes as np.savetxt(fmt="%.17g").
 The hash is sha256 of the header text between "# " and ", config=",
 truncated to 16 hex chars, so any file can be integrity-checked from
 its own content.
 
 Dataset binary (for runs too big for CSV): magic GTB1, uint32 LE header
 length, header JSON (same fields as the CSV header), uint64 LE payload
-float count, then little-endian float64 pairs (theta,x) or (x,p).
+float count, then little-endian float64 pairs (theta,x) or (x,p).  The
+reader takes the header fields from the open file, checks the count
+against the file size and reads the payload once into the returned array.
 
 Reports are JSON with a "config" object and its full sha256 in
 "config_sha256"; benchmark and gamma-map tables are also emitted as
@@ -23,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -33,6 +39,7 @@ from .sampling import HeterodyneDataset, HomodyneDataset
 
 FORMAT_VERSION = "gauss-tomo v1"
 BIN_MAGIC = b"GTB1"
+_CSV_BLOCK_ROWS = 1 << 16
 
 _FIXED_KEYS = ("scheme", "seed", "eta")
 _LIST_KEYS = {"g_elec", "g_w", "state"}
@@ -140,7 +147,9 @@ def _write_dataset_csv(path, dataset) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(_header_line(dataset.meta) + "\n")
         f.write(columns + "\n")
-        np.savetxt(f, rows, fmt="%.17g", delimiter=",")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            f.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_dataset_bin(path, dataset) -> None:
@@ -226,27 +235,29 @@ def read_dataset(path):
 
 
 def _read_dataset_bin(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != BIN_MAGIC:
-        raise DataFormatError("not a gauss-tomo binary dataset")
-    (hlen,) = struct.unpack_from("<I", raw, 4)
-    if 8 + hlen + 8 > len(raw):
-        raise DataFormatError("binary header is truncated")
-    try:
-        header = json.loads(raw[8 : 8 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"binary header is not valid JSON: {exc}") from exc
-    if header.get("version") != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported format version {header.get('version')!r}")
-    (count,) = struct.unpack_from("<Q", raw, 8 + hlen)
-    payload = raw[8 + hlen + 8:]
-    if count * 8 != len(payload):
-        raise DataFormatError(
-            f"payload length mismatch: header says {count} values, file has {len(payload) // 8}"
-        )
-    if count % 2 != 0:
-        raise DataFormatError("payload float count must be even (two columns)")
-    rows = np.frombuffer(payload, dtype="<f8").astype(float).reshape(-1, 2)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if size < 16 or head[:4] != BIN_MAGIC:
+            raise DataFormatError("not a gauss-tomo binary dataset")
+        (hlen,) = struct.unpack("<I", head[4:])
+        if 8 + hlen + 8 > size:
+            raise DataFormatError("binary header is truncated")
+        try:
+            header = json.loads(f.read(hlen).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"binary header is not valid JSON: {exc}") from exc
+        if header.get("version") != FORMAT_VERSION:
+            raise DataFormatError(f"unsupported format version {header.get('version')!r}")
+        (count,) = struct.unpack("<Q", f.read(8))
+        payload_bytes = size - (8 + hlen + 8)
+        if count * 8 != payload_bytes:
+            raise DataFormatError(
+                f"payload length mismatch: header says {count} values, file has {payload_bytes // 8}"
+            )
+        if count % 2 != 0:
+            raise DataFormatError("payload float count must be even (two columns)")
+        rows = np.fromfile(f, dtype="<f8", count=count).reshape(-1, 2)
     meta = {k: v for k, v in header.items() if k not in ("version", "columns", "config")}
     return _dataset_from_rows(meta, rows)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import gauss_tomo.benchmark as bm
 from gauss_tomo import read_dataset
 from gauss_tomo.cli import main
 
@@ -235,6 +236,33 @@ class TestGammaMapCommand:
         assert code == 2
         assert err.startswith("error: ConfigError: sample size 1000 not divisible")
         assert err.count("\n") == 1
+        assert stdout == ""
+
+    def test_overflowing_cell_is_nan(self, tmp_path, capsys):
+        out = tmp_path / "map"
+        code, _, err = run(
+            capsys, "gamma-map", "--analytic", "--grid", "1x2",
+            "--lambda-range", "1:1e300", "--out", str(out),
+        )
+        assert code == 0, err
+        cells = json.loads((tmp_path / "map.json").read_text())["cells"]
+        assert [c["lambda"] for c in cells] == [1.0, 1e300]
+        assert np.isfinite(cells[0]["gamma"])
+        assert cells[1]["gamma"] is None
+        rows = (tmp_path / "map.csv").read_text().splitlines()[2:]
+        assert np.isfinite(float(rows[0].split(",")[2]))
+        assert rows[1].split(",")[2] == "nan"
+
+
+class TestCrossoverCommand:
+    def test_too_few_reps_fail_before_any_probe(self, capsys, monkeypatch):
+        def no_probe(cfg):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(bm, "run_benchmark", no_probe)
+        code, stdout, err = run(capsys, "crossover", "--reps", "10")
+        assert code == 2
+        assert err == "error: ConfigError: empirical gamma needs >= 30 repetitions, got 10\n"
         assert stdout == ""
 
 

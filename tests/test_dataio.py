@@ -20,7 +20,10 @@ from gauss_tomo import (
     write_dataset,
     write_report_json,
 )
+from gauss_tomo import dataio
 from gauss_tomo.dataio import (
+    _dataset_rows,
+    _header_line,
     benchmark_report_csv,
     canonical_config_hash,
     gamma_map_csv,
@@ -180,6 +183,60 @@ class TestReadErrors:
         p.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(DataFormatError):
             read_dataset(p)
+
+    @pytest.mark.parametrize("bit", [0, 1, 40, 63])
+    def test_bit_flipped_count(self, tmp_path, het, bit):
+        p = tmp_path / "d.bin"
+        write_dataset(p, het, "bin")
+        raw = bytearray(p.read_bytes())
+        at = 8 + int.from_bytes(raw[4:8], "little")
+        count = int.from_bytes(raw[at : at + 8], "little")
+        flipped = count ^ (1 << bit)
+        raw[at : at + 8] = flipped.to_bytes(8, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError) as err:
+            read_dataset(p)
+        assert str(err.value) == (
+            f"payload length mismatch: header says {flipped} values, file has {count}"
+        )
+
+
+def _savetxt_reference(path, dataset):
+    # the CSV writer as it was before rows were formatted in blocks
+    columns, rows = _dataset_rows(dataset)
+    with open(path, "w", newline="\n") as f:
+        f.write(_header_line(dataset.meta) + "\n")
+        f.write(columns + "\n")
+        np.savetxt(f, rows, fmt="%.17g", delimiter=",")
+
+
+_SPECIAL = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1]
+_BLOCK = 7
+
+
+class TestBlockedCsvWriter:
+    @pytest.mark.parametrize("n_rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("scheme", ["hom", "het"])
+    def test_matches_savetxt(self, tmp_path, monkeypatch, hom, het, scheme, n_rows):
+        monkeypatch.setattr(dataio, "_CSV_BLOCK_ROWS", _BLOCK)
+        rng = np.random.default_rng(n_rows)
+        values = np.resize(np.concatenate([_SPECIAL, -rng.lognormal(0, 20, 2 * n_rows)]), 2 * n_rows)
+        if scheme == "het":
+            data = HeterodyneDataset(values.reshape(-1, 2), het.meta)
+        else:
+            groups = np.array_split(values[:n_rows], min(n_rows, 3))
+            data = HomodyneDataset((0.0, 5e-324, 0.1)[: len(groups)], tuple(groups), hom.meta)
+        path, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+        write_dataset(path, data)
+        _savetxt_reference(ref, data)
+        assert path.read_bytes() == ref.read_bytes()
+        back = read_dataset(path)
+        if scheme == "het":
+            assert back.pairs.tobytes() == data.pairs.tobytes()
+        else:
+            assert back.angles == data.angles
+            assert [x.tobytes() for x in back.samples] == [x.tobytes() for x in data.samples]
+        assert back.meta == data.meta
 
 
 class TestReports:

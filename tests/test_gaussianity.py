@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from gauss_tomo import DegenerateVariance, TooFewSamples, kl_divergence
 from gauss_tomo import test_gaussianity as run_gof  # alias: keep pytest from collecting it
+from gauss_tomo import gaussianity
 from gauss_tomo.gaussianity import _ks_null_table
 
 
@@ -150,3 +154,29 @@ def test_null_table_cached_and_sorted():
     t2 = _ks_null_table()
     assert t1 is t2
     assert np.all(np.diff(t1) >= 0)
+
+
+def _one_shot_null_table():
+    # the null table as it was built before row blocks: one full draw
+    n = gaussianity._NULL_SIZE
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(gaussianity._NULL_SEED)))
+    z = rng.standard_normal((gaussianity._NULL_REPLICAS, n))
+    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, keepdims=True)
+    z.sort(axis=1)
+    f = ndtr(z)
+    i = np.arange(1, n + 1)
+    d = np.maximum(np.max(i / n - f, axis=1), np.max(f - (i - 1) / n, axis=1))
+    t = d * (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
+    t.sort()
+    return t
+
+
+def test_blocked_null_table_matches_one_shot_build(monkeypatch):
+    # 1000 = 3 * 256 + 232 replicas: the last block is short
+    monkeypatch.setattr(gaussianity, "_NULL_REPLICAS", 1000)
+    monkeypatch.setattr(gaussianity, "_NULL_SIZE", 300)
+    monkeypatch.setattr(gaussianity, "_NULL_BLOCK_ROWS", 256)
+    monkeypatch.setattr(gaussianity, "_null_table", None)
+    table = _ks_null_table()
+    assert table.shape == (1000,)
+    assert table.tobytes() == _one_shot_null_table().tobytes()
