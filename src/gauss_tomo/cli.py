@@ -39,7 +39,7 @@ from .errors import (
     UnknownScheme,
 )
 from .estimation import estimate_heterodyne, estimate_homodyne_ml, estimate_homodyne_wls
-from .gaussianity import test_gaussianity
+from .gaussianity import DEFAULT_BINS, MIN_BINS, test_gaussianity
 from .sampling import (
     AngleProtocol,
     HomodyneDataset,
@@ -88,7 +88,7 @@ def _load_ini(path) -> dict:
     try:
         with open(path) as f:
             parser.read_file(f)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     values = {}
     for section in parser.sections():
@@ -386,8 +386,10 @@ def _cmd_gamma_map(args) -> int:
 
 def _cmd_gaussianity(args) -> int:
     res = _Resolver(args)
+    bins = res.get("bins", "run.bins", int, DEFAULT_BINS)
+    if bins < MIN_BINS:
+        raise ConfigError(f"bins must be >= {MIN_BINS}, got {bins}")
     dataset = read_dataset(args.dataset)
-    bins = res.get("bins", "run.bins", int, 101)
     reports = []
     if isinstance(dataset, HomodyneDataset):
         series = [(f"theta={th!r}", x) for th, x in zip(dataset.angles, dataset.samples)]

@@ -3,18 +3,20 @@
 Dataset CSV: first line `# gauss-tomo v1, scheme=..., seed=..., eta=...,
 <more key=value fields>, config=<hash16>`, second line the column names
 (theta,x for homodyne, x,p for heterodyne), then one event per row,
-each value in %.17g (enough digits to read back bit for bit).
-Rows are formatted in blocks of _CSV_BLOCK_ROWS with one % operation
-per block, which gives the same bytes as np.savetxt(fmt="%.17g").
-The hash is sha256 of the header text between "# " and ", config=",
-truncated to 16 hex chars, so any file can be integrity-checked from
-its own content.
+each value in %.17g (enough digits to read back bit for bit), formatted
+in blocks of _CSV_BLOCK_ROWS rows with one % operation per block (the
+same bytes as np.savetxt(fmt="%.17g")).  The hash is sha256 of the
+header text between "# " and ", config=", truncated to 16 hex chars.
 
 Dataset binary (for runs too big for CSV): magic GTB1, uint32 LE header
-length, header JSON (same fields as the CSV header), uint64 LE payload
-float count, then little-endian float64 pairs (theta,x) or (x,p).  The
-reader takes the header fields from the open file, checks the count
-against the file size and reads the payload once into the returned array.
+length, header JSON object (the CSV header fields plus version, columns
+and the same config hash), uint64 LE payload float count, then
+little-endian float64 pairs (theta,x) or (x,p).
+
+Each format has one header reader, _read_csv_header and _read_bin_header
+(which also checks the count against the file size), shared by
+read_dataset and verify_file: verify checks a dataset's header hash, and
+a binary file's payload length, without reading any row.
 
 Reports are JSON with a "config" object and its full sha256 in
 "config_sha256"; benchmark and gamma-map tables are also emitted as
@@ -26,10 +28,12 @@ give byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,7 @@ from .sampling import HeterodyneDataset, HomodyneDataset
 FORMAT_VERSION = "gauss-tomo v1"
 BIN_MAGIC = b"GTB1"
 _CSV_BLOCK_ROWS = 1 << 16
+_COLUMNS = {"hom": "theta,x", "het": "x,p"}
 
 _FIXED_KEYS = ("scheme", "seed", "eta")
 _LIST_KEYS = {"g_elec", "g_w", "state"}
@@ -51,6 +56,11 @@ def canonical_config_hash(config: dict) -> str:
     """sha256 over the sorted compact JSON dump of a config dict."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _short_hash(body: str) -> str:
+    """The 16-hex config hash that dataset and report-CSV headers carry."""
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
 def _meta_value_to_str(key: str, value) -> str:
@@ -81,43 +91,85 @@ def _header_body(meta: dict) -> str:
         if key not in meta:
             raise DataFormatError(f"dataset meta is missing required key {key!r}")
     parts = [FORMAT_VERSION]
-    parts += [f"{k}={_meta_value_to_str(k, meta[k])}" for k in _FIXED_KEYS]
-    for k in sorted(meta):
-        if k not in _FIXED_KEYS:
+    for k in _FIXED_KEYS + tuple(k for k in sorted(meta) if k not in _FIXED_KEYS):
+        try:
             parts.append(f"{k}={_meta_value_to_str(k, meta[k])}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"header field {k!r} has no text form: {exc}") from exc
     return ", ".join(parts)
 
 
 def _header_line(meta: dict) -> str:
     body = _header_body(meta)
-    digest = hashlib.sha256(body.encode()).hexdigest()[:16]
-    return f"# {body}, config={digest}"
+    return f"# {body}, config={_short_hash(body)}"
 
 
-def _parse_header_line(line: str, lineno: int = 1) -> tuple[dict, str, str]:
+def _read_csv_header(f) -> tuple[dict, str, str]:
+    """(meta, body, stored hash) from line 1 of the CSV file open in binary
+    mode in f; leaves f at line 2."""
+    f.seek(0)
+    line = f.readline()
+    if not line:
+        raise DataFormatError("line 1: empty file")
+    try:
+        line = line.decode()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"line 1: not text: {exc}") from exc
     if not line.startswith("# "):
-        raise DataFormatError(f"line {lineno}: expected '# {FORMAT_VERSION}, ...' header")
-    content = line[2:].rstrip("\n")
+        raise DataFormatError(f"line 1: expected '# {FORMAT_VERSION}, ...' header")
+    content = line[2:].rstrip("\r\n")
     if not content.startswith(FORMAT_VERSION + ", "):
-        raise DataFormatError(f"line {lineno}: unsupported format version in {content!r}")
-    marker = ", config="
-    cut = content.rfind(marker)
-    if cut < 0:
-        raise DataFormatError(f"line {lineno}: header carries no config hash")
-    body = content[:cut]
-    stored = content[cut + len(marker):]
+        raise DataFormatError(f"line 1: unsupported format version in {content!r}")
+    body, marker, stored = content.rpartition(", config=")
+    if not marker:
+        raise DataFormatError("line 1: header carries no config hash")
     meta = {}
     for item in body[len(FORMAT_VERSION) + 2:].split(", "):
         if "=" not in item:
-            raise DataFormatError(f"line {lineno}: malformed header field {item!r}")
+            raise DataFormatError(f"line 1: malformed header field {item!r}")
         key, raw = item.split("=", 1)
-        meta[key] = _meta_value_from_str(key, raw)
+        try:
+            meta[key] = _meta_value_from_str(key, raw)
+        except ValueError as exc:
+            raise DataFormatError(f"line 1: cannot parse header field {key}={raw!r}") from exc
     return meta, body, stored
+
+
+def _read_bin_header(f) -> tuple[dict, str, object, int]:
+    """The binary twin of _read_csv_header: (meta, body, stored hash,
+    payload float count) of the binary dataset open in f.  Checks the
+    count against the file size and leaves f at the payload."""
+    f.seek(0)
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(8)
+    if size < 16 or head[:4] != BIN_MAGIC:
+        raise DataFormatError("not a gauss-tomo binary dataset")
+    (hlen,) = struct.unpack("<I", head[4:])
+    if 8 + hlen + 8 > size:
+        raise DataFormatError("binary header is truncated")
+    try:
+        header = json.loads(f.read(hlen).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DataFormatError(f"binary header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError("binary header is not a JSON object")
+    if header.get("version") != FORMAT_VERSION:
+        raise DataFormatError(f"unsupported format version {header.get('version')!r}")
+    (count,) = struct.unpack("<Q", f.read(8))
+    payload_bytes = size - (8 + hlen + 8)
+    if count * 8 != payload_bytes:
+        raise DataFormatError(
+            f"payload length mismatch: header says {count} values, file has {payload_bytes // 8}"
+        )
+    if count % 2 != 0:
+        raise DataFormatError("payload float count must be even (two columns)")
+    meta = {k: v for k, v in header.items() if k not in ("version", "columns", "config")}
+    return meta, _header_body(meta), header.get("config"), count
 
 
 def _check_scheme(meta: dict) -> str:
     scheme = meta.get("scheme")
-    if scheme not in ("hom", "het"):
+    if scheme not in _COLUMNS:
         raise UnknownScheme(f"unknown measurement scheme {scheme!r}")
     return scheme
 
@@ -136,9 +188,9 @@ def _dataset_rows(dataset) -> tuple[str, np.ndarray]:
         theta = np.concatenate(
             [np.full(len(x), th) for th, x in zip(dataset.angles, dataset.samples)]
         )
-        return "theta,x", np.column_stack((theta, np.concatenate(dataset.samples)))
+        return _COLUMNS["hom"], np.column_stack((theta, np.concatenate(dataset.samples)))
     if isinstance(dataset, HeterodyneDataset):
-        return "x,p", dataset.pairs
+        return _COLUMNS["het"], dataset.pairs
     raise TypeError(f"unsupported dataset type {type(dataset)!r}")
 
 
@@ -154,11 +206,8 @@ def _write_dataset_csv(path, dataset) -> None:
 
 def _write_dataset_bin(path, dataset) -> None:
     columns, rows = _dataset_rows(dataset)
-    body = _header_body(dataset.meta)
-    header = dict(dataset.meta)
-    header["version"] = FORMAT_VERSION
-    header["columns"] = columns
-    header["config"] = hashlib.sha256(body.encode()).hexdigest()[:16]
+    config = _short_hash(_header_body(dataset.meta))
+    header = {**dataset.meta, "version": FORMAT_VERSION, "columns": columns, "config": config}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     payload = np.ascontiguousarray(rows, dtype="<f8")
     with open(path, "wb") as f:
@@ -183,82 +232,45 @@ def _dataset_from_rows(meta: dict, rows: np.ndarray):
         raise DataFormatError(f"dataset content is inconsistent: {exc}") from exc
 
 
-def _read_rows_csv(path, expected_columns: str):
-    with open(path) as f:
+def _read_rows_csv(f):
+    """(meta, rows) of the CSV dataset open in binary mode in f."""
+    meta, _, _ = _read_csv_header(f)
+    expected = _COLUMNS[_check_scheme(meta)]
+    with io.TextIOWrapper(f, encoding="utf-8", errors="replace") as text:
+        columns = text.readline().rstrip("\n")
+        if columns != expected:
+            raise DataFormatError(f"line 2: expected columns {expected!r}, got {columns!r}")
         try:
-            header = f.readline()
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"not a text dataset file: {exc}") from exc
-        if header == "":
-            raise DataFormatError("line 1: empty file")
-        meta, _, _ = _parse_header_line(header)
-        columns = f.readline().rstrip("\n")
-        if columns != expected_columns.get(_check_scheme(meta)):
-            raise DataFormatError(
-                f"line 2: expected columns {expected_columns.get(meta.get('scheme'))!r}, got {columns!r}"
-            )
-        try:
-            rows = np.loadtxt(f, delimiter=",", ndmin=2)
-        except (ValueError, UnicodeDecodeError):
-            rows = None
-        if rows is None:
+            with warnings.catch_warnings():
+                # numpy warns on an empty body; it is reported below as line 3
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(text, delimiter=",", ndmin=2)
+        except ValueError:
             # slow pass to point at the offending line
-            with open(path, errors="replace") as g:
-                for lineno, line in enumerate(g, start=1):
-                    if lineno <= 2:
-                        continue
-                    parts = line.rstrip("\n").split(",")
-                    try:
-                        [float(p) for p in parts]
-                        ok = len(parts) == 2
-                    except ValueError:
-                        ok = False
-                    if not ok:
-                        raise DataFormatError(f"line {lineno}: cannot parse {line.rstrip()!r}")
+            text.seek(0)
+            for lineno, line in enumerate(text, start=1):
+                try:
+                    ok = len([float(p) for p in line.split(",")]) == 2
+                except ValueError:
+                    ok = False
+                if lineno > 2 and not ok:
+                    raise DataFormatError(f"line {lineno}: cannot parse {line.rstrip()!r}")
             raise DataFormatError("dataset rows are malformed")
-        if rows.size == 0:
-            raise DataFormatError("line 3: dataset has no rows")
-        if rows.shape[1] != 2:
-            raise DataFormatError(f"line 3: expected 2 columns, got {rows.shape[1]}")
+    if rows.size == 0:
+        raise DataFormatError("line 3: dataset has no rows")
+    if rows.shape[1] != 2:
+        raise DataFormatError(f"line 3: expected 2 columns, got {rows.shape[1]}")
     return meta, rows
 
 
 def read_dataset(path):
     """Load a dataset file, CSV or binary, validating header and scheme."""
-    path = Path(path)
     with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == BIN_MAGIC:
-        return _read_dataset_bin(path)
-    meta, rows = _read_rows_csv(path, {"hom": "theta,x", "het": "x,p"})
-    return _dataset_from_rows(meta, rows)
-
-
-def _read_dataset_bin(path):
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(8)
-        if size < 16 or head[:4] != BIN_MAGIC:
-            raise DataFormatError("not a gauss-tomo binary dataset")
-        (hlen,) = struct.unpack("<I", head[4:])
-        if 8 + hlen + 8 > size:
-            raise DataFormatError("binary header is truncated")
-        try:
-            header = json.loads(f.read(hlen).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"binary header is not valid JSON: {exc}") from exc
-        if header.get("version") != FORMAT_VERSION:
-            raise DataFormatError(f"unsupported format version {header.get('version')!r}")
-        (count,) = struct.unpack("<Q", f.read(8))
-        payload_bytes = size - (8 + hlen + 8)
-        if count * 8 != payload_bytes:
-            raise DataFormatError(
-                f"payload length mismatch: header says {count} values, file has {payload_bytes // 8}"
-            )
-        if count % 2 != 0:
-            raise DataFormatError("payload float count must be even (two columns)")
-        rows = np.fromfile(f, dtype="<f8", count=count).reshape(-1, 2)
-    meta = {k: v for k, v in header.items() if k not in ("version", "columns", "config")}
+        if f.read(4) == BIN_MAGIC:
+            meta, _, _, count = _read_bin_header(f)
+            rows = np.fromfile(f, dtype="<f8", count=count).reshape(-1, 2)
+        else:
+            meta, rows = _read_rows_csv(f)
     return _dataset_from_rows(meta, rows)
 
 
@@ -288,8 +300,7 @@ def _report_csv_header(kind: str, seed, config: dict) -> str:
     # config_ref ties the CSV to its JSON sibling; config hashes the header
     # text itself so verify can re-derive it from the file alone.
     body = f"{FORMAT_VERSION}, kind={kind}, seed={seed}, config_ref={canonical_config_hash(config)[:16]}"
-    digest = hashlib.sha256(body.encode()).hexdigest()[:16]
-    return f"# {body}, config={digest}"
+    return f"# {body}, config={_short_hash(body)}"
 
 
 def _fmt_cell(value) -> str:
@@ -320,21 +331,8 @@ def benchmark_report_csv(report) -> str:
             gamma, _ = report.gamma[(n, m)]
             g_an = report.gamma_analytic.get(m, math.nan)
             for scheme, st in (("hom", hom), ("het", het)):
-                lines.append(
-                    ",".join(
-                        [
-                            mu,
-                            lam,
-                            scheme,
-                            str(n),
-                            str(m),
-                            _fmt_cell(st.mean),
-                            _fmt_cell(st.stderr),
-                            _fmt_cell(gamma),
-                            _fmt_cell(g_an),
-                        ]
-                    )
-                )
+                cells = (mu, lam, scheme, n, m, st.mean, st.stderr, gamma, g_an)
+                lines.append(",".join(_fmt_cell(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -356,38 +354,33 @@ def gamma_map_csv(rows, seed, config: dict) -> str:
 
 
 def verify_file(path) -> tuple[bool, str]:
-    """Recompute the embedded config hash of any toolkit output file."""
+    """Re-derive the embedded config hash of any toolkit output file.
+
+    Datasets and report CSVs are checked from their header alone (binary
+    datasets also by payload length), never their rows; a JSON report is
+    read whole.
+    """
     path = Path(path)
-    head = path.read_bytes()[:4]
-    if head == BIN_MAGIC:
-        raw = path.read_bytes()
-        try:
-            (hlen,) = struct.unpack_from("<I", raw, 4)
-            header = json.loads(raw[8 : 8 + hlen].decode())
-        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"corrupt binary header: {exc}") from exc
-        stored = header.get("config")
-        meta = {k: v for k, v in header.items() if k not in ("version", "columns", "config")}
-        expect = hashlib.sha256(_header_body(meta).encode()).hexdigest()[:16]
-        if stored == expect:
-            return True, f"{path}: binary dataset, config hash {stored} ok"
-        return False, f"{path}: config hash mismatch (stored {stored}, derived {expect})"
+    with open(path, "rb") as f:
+        head = f.read(4)
+        if head == BIN_MAGIC:
+            _, body, stored, _ = _read_bin_header(f)
+            what = "binary dataset, config hash"
+        elif head.startswith(b"# "):
+            _, body, stored = _read_csv_header(f)
+            what = "header config hash"
+        else:
+            return _verify_report(path, head + f.read())
+    expect = _short_hash(body)
+    if stored == expect:
+        return True, f"{path}: {what} {stored} ok"
+    return False, f"{path}: config hash mismatch (stored {stored}, derived {expect})"
+
+
+def _verify_report(path: Path, raw: bytes) -> tuple[bool, str]:
     try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"unrecognized file format: {exc}") from exc
-    if not text:
-        raise DataFormatError("line 1: empty file")
-    first = text.split("\n", 1)[0]
-    if first.startswith("# "):
-        _, body, stored = _parse_header_line(first)
-        expect = hashlib.sha256(body.encode()).hexdigest()[:16]
-        if stored == expect:
-            return True, f"{path}: header config hash {stored} ok"
-        return False, f"{path}: config hash mismatch (stored {stored}, derived {expect})"
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"unrecognized file format: {exc}") from exc
     if not isinstance(payload, dict) or "config" not in payload or "config_sha256" not in payload:
         raise DataFormatError("JSON report lacks config/config_sha256 fields")

@@ -27,6 +27,7 @@ from scipy.special import gammaincc, kolmogorov, ndtr
 from .errors import DegenerateVariance, TooFewSamples
 
 DEFAULT_BINS = 101
+MIN_BINS = 5
 MIN_EXPECTED_PER_BIN = 5.0
 BIN_HALF_WIDTH_SDS = 5.0
 
@@ -180,8 +181,8 @@ def test_gaussianity(samples, bins: int = DEFAULT_BINS) -> GaussianityReport:
         raise ValueError("samples must be a 1-D array")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite values")
-    if bins < 5:
-        raise ValueError(f"bins must be >= 5, got {bins}")
+    if bins < MIN_BINS:
+        raise ValueError(f"bins must be >= {MIN_BINS}, got {bins}")
     if x.size < 10 * bins:
         raise TooFewSamples(f"need >= {10 * bins} samples for {bins} bins, got {x.size}")
     mean = float(np.mean(x))

@@ -299,6 +299,17 @@ class TestGaussianityCommand:
         assert labels == ["axis=x", "axis=p"]
 
 
+    def test_too_few_bins_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--angles", "3", "--samples", "100",
+                     "--seed", "8", "--out", str(data)]) == 0
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "gaussianity", str(data), "--bins", "2")
+        assert code == 2
+        assert err == "error: ConfigError: bins must be >= 5, got 2\n"
+        assert stdout == ""
+
+
 class TestVerifyCommand:
     def test_ok_and_tampered(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -311,6 +322,24 @@ class TestVerifyCommand:
         code, stdout, _ = run(capsys, "verify", str(data))
         assert code == 2
         assert "mismatch" in stdout
+
+
+    @pytest.mark.parametrize("command", ["verify", "estimate"])
+    @pytest.mark.parametrize("corrupt", ["truncated", "list-header"])
+    def test_corrupt_binary_exits_2(self, tmp_path, capsys, command, corrupt):
+        data = tmp_path / "d.bin"
+        assert main(["simulate", "--scheme", "het", "--samples", "20",
+                     "--format", "bin", "--out", str(data)]) == 0
+        capsys.readouterr()
+        if corrupt == "truncated":
+            data.write_bytes(data.read_bytes()[:-8])
+            message = "payload length mismatch: header says 40 values, file has 39"
+        else:
+            data.write_bytes(b"GTB1" + (2).to_bytes(4, "little") + b"[]" + bytes(8))
+            message = "binary header is not a JSON object"
+        code, _, err = run(capsys, command, str(data))
+        assert code == 2
+        assert err == f"error: DataFormatError: {message}\n"
 
 
 class TestConfigFile:
@@ -337,6 +366,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "simulate", "--config", str(ini), "--out", "x")
         assert code == 2
         assert "ConfigError" in err
+
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"[run]\nseed = \xff\n")
+        code, _, err = run(capsys, "simulate", "--config", str(ini), "--out", "x")
+        assert code == 2
+        assert err.startswith(f"error: ConfigError: cannot parse config file {ini}: ")
+        assert err.count("\n") == 1
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

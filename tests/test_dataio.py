@@ -1,4 +1,6 @@
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from gauss_tomo import (
     write_dataset,
     write_report_json,
 )
-from gauss_tomo import dataio
+from gauss_tomo import cli, dataio
 from gauss_tomo.dataio import (
+    FORMAT_VERSION,
     _dataset_rows,
     _header_line,
     benchmark_report_csv,
@@ -123,6 +126,59 @@ class TestVerify:
         with pytest.raises(DataFormatError):
             verify_file(path)
 
+    def test_report_nested_too_deep(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(DataFormatError, match="^unrecognized file format: maximum recursion"):
+            verify_file(path)
+
+
+def _write_bin(path, header: bytes, payload: bytes = b""):
+    path.write_bytes(
+        b"GTB1" + struct.pack("<I", len(header)) + header
+        + struct.pack("<Q", len(payload) // 8) + payload
+    )
+
+
+@pytest.mark.parametrize("call", [read_dataset, verify_file])
+class TestMalformedHeaders:
+    def test_binary_header_not_an_object(self, tmp_path, call):
+        path = tmp_path / "d.bin"
+        _write_bin(path, b"[]")
+        with pytest.raises(DataFormatError, match="^binary header is not a JSON object$"):
+            call(path)
+
+    def test_binary_header_nested_too_deep(self, tmp_path, call):
+        path = tmp_path / "d.bin"
+        _write_bin(path, b"[" * 100_000)
+        with pytest.raises(DataFormatError, match="^binary header is not valid JSON: maximum recursion"):
+            call(path)
+
+    def test_binary_count_exceeds_payload(self, tmp_path, het, call):
+        path = tmp_path / "d.bin"
+        write_dataset(path, het, "bin")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataFormatError, match="^payload length mismatch"):
+            call(path)
+
+    def test_binary_field_without_text_form(self, tmp_path, het, call):
+        header = {**het.meta, "version": FORMAT_VERSION, "columns": "x,p", "g_elec": 5}
+        path = tmp_path / "d.bin"
+        _write_bin(path, json.dumps(header).encode(), het.pairs.astype("<f8").tobytes())
+        with pytest.raises(DataFormatError, match="^header field 'g_elec' has no text form"):
+            call(path)
+
+    @pytest.mark.parametrize("field", ["seed=abc", "thermalized=foo", "g_elec=a;b"])
+    def test_unparsable_csv_header_value(self, tmp_path, call, field):
+        key, raw = field.split("=", 1)
+        fields = {"scheme": "hom", "seed": "0", "eta": "1.0", key: raw}
+        body = ", ".join([FORMAT_VERSION] + [f"{k}={v}" for k, v in fields.items()])
+        path = tmp_path / "d.csv"
+        path.write_text(f"# {body}, config=0000000000000000\ntheta,x\n0.0,1.0\n")
+        with pytest.raises(DataFormatError) as err:
+            call(path)
+        assert str(err.value) == f"line 1: cannot parse header field {key}={raw!r}"
+
 
 class TestReadErrors:
     def test_missing_header(self, tmp_path):
@@ -167,6 +223,17 @@ class TestReadErrors:
         p.write_text("")
         with pytest.raises(DataFormatError):
             read_dataset(p)
+
+    def test_no_rows_is_one_stderr_line(self, tmp_path, hom, capsys):
+        p = tmp_path / "d.csv"
+        write_dataset(p, hom)
+        p.write_text("".join(p.read_text().splitlines(keepends=True)[:2]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["estimate", str(p)])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: DataFormatError: line 3: dataset has no rows\n"
 
     def test_truncated_binary(self, tmp_path, het):
         p = tmp_path / "d.bin"
