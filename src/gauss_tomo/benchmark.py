@@ -21,6 +21,7 @@ result it would get alone, and are projected and scored as arrays.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -280,6 +281,17 @@ def _versions() -> dict:
     return {"artifact": __version__, "numpy": np.__version__}
 
 
+def _map_cells(fn, cells: list, workers: int) -> list:
+    """[fn(cell) for cell in cells], in order, on a process pool when
+    workers > 1.  The pool gets at most one process per cell and per CPU:
+    every result depends only on its cell, never on the worker count."""
+    workers = min(workers, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, cells))
+
+
 def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     """Execute the full benchmark described by cfg.
 
@@ -313,11 +325,7 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         tasks.append(("het", i_n, 0, n_events, 0))
 
     runner = partial(_run_cell, cfg=cfg, ref_hom=ref_hom, ref_het=ref_het)
-    if workers <= 1:
-        results = dict(map(runner, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(runner, tasks))
+    results = dict(_map_cells(runner, tasks, workers))
 
     hom_stats = {}
     het_stats = {}
@@ -469,12 +477,7 @@ def gamma_map(
         seed=int(seed),
         analytic=analytic,
     )
-    if workers <= 1 or analytic:
-        rows = [runner(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(runner, cells))
-    return rows
+    return _map_cells(runner, cells, 1 if analytic else workers)
 
 
 def _map_cell(cell, det=None, n_events=0, angle_count=0, repetitions=0, seed=0, analytic=False):

@@ -1,14 +1,23 @@
 """Command-line front end: gauss-tomo <subcommand>.
 
 Subcommands: simulate | estimate | benchmark | gamma-map | gaussianity
-| verify.  Settings resolve in three layers: built-in defaults, then an
-optional INI config file (--config), then explicit flags.  Every output
-file embeds the resolved configuration (or its hash) and the seed, and
-`verify` re-derives the hash to check integrity.
+| crossover | verify.  Each subcommand declares its settings once, in a
+table of _Opt entries: flag, INI key, cast, choices, default and help.
+The table builds the flags, fixes the INI keys a config file (--config)
+may hold, and drives _settings, which takes each value from its flag,
+else from the config file, else from the default; `estimate` reads eta
+and g_elec from the dataset header before falling back to the default.
+INI keys are `section.name` in the sections [state], [detection] and
+[run], named after the flag with dashes as underscores (--mu-range is
+run.mu_range), except --state, which is state.preset.  Flag and file
+values are cast and checked by the same code, so a bad value from either
+exits 2 with one line.  Every output file embeds the resolved
+configuration (or its hash) and the seed, and `verify` re-derives the
+hash to check integrity.
 
-Exit codes: 0 success; 2 validation (bad flags, config schema, corrupt
-or mismatching files); 3 numerical failure (degenerate data, singular
-systems, underdetermined protocols); 4 I/O failure.
+Exit codes: 0 success; 2 validation (bad flag or config values, config
+schema, corrupt or mismatching files); 3 numerical failure (degenerate
+data, singular systems, underdetermined protocols); 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import configparser
 import json
 import math
 import sys
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -57,68 +67,28 @@ STATE_PRESETS = {
     "thermal-dim": (15.0, 1.0, 0.0),
 }
 
-_INI_SCHEMA = {
-    "state": {"preset", "mu", "lambda", "orientation"},
-    "detection": {"eta", "g_elec"},
-    "run": {
-        "seed",
-        "scheme",
-        "samples",
-        "angles",
-        "offset",
-        "reps",
-        "thermalize",
-        "analytic",
-        "exact_truth",
-        "reference_size",
-        "workers",
-        "out",
-        "format",
-        "grid",
-        "mu_range",
-        "lambda_range",
-        "bins",
-        "method",
-    },
-}
 
+class _Opt(NamedTuple):
+    """One setting of a subcommand.
 
-def _load_ini(path) -> dict:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as f:
-            parser.read_file(f)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    values = {}
-    for section in parser.sections():
-        if section not in _INI_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _INI_SCHEMA[section]:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            values[f"{section}.{key}"] = raw
-    return values
+    key is the INI `section.name`, and name is the setting's key in the
+    dict _settings returns.  cast turns a raw flag or file string into
+    the value; a setting cast by _cast_bool is an on/off store_true flag.
+    default is the value when neither flag nor file gives one; low, when
+    set, is the least value accepted.
+    """
 
+    flag: str
+    key: str
+    cast: Callable = str
+    default: Any = None
+    help: str | None = None
+    choices: tuple = ()
+    low: int | None = None
 
-class _Resolver:
-    """Layered lookup: CLI flag, then INI value, then default."""
-
-    def __init__(self, args):
-        self.args = args
-        self.ini = _load_ini(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, flag: str, ini_key: str, cast, default):
-        value = getattr(self.args, flag, None)
-        if value is not None:
-            return value
-        raw = self.ini.get(ini_key)
-        if raw is not None:
-            try:
-                return cast(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {ini_key}: cannot parse {raw!r}") from exc
-        return default
+    @property
+    def name(self) -> str:
+        return self.key.partition(".")[2]
 
 
 def _cast_bool(raw: str) -> bool:
@@ -173,16 +143,129 @@ def _parse_grid(raw: str) -> tuple:
     return r, c
 
 
-def _resolve_state(res: _Resolver) -> StateSpec:
-    preset = res.get("state", "state.preset", str, None)
-    if preset is not None and preset not in STATE_PRESETS:
-        raise ConfigError(
-            f"unknown state preset {preset!r}; choose from {sorted(STATE_PRESETS)}"
-        )
-    base = STATE_PRESETS.get(preset, (1.0, 1.0, 0.0))
-    mu = res.get("mu", "state.mu", float, base[0])
-    lam = res.get("lam", "state.lambda", float, base[1])
-    orientation = res.get("orientation", "state.orientation", float, base[2])
+_COMMON = (
+    _Opt("--seed", "run.seed", int, 0, "root seed (default 0)", low=0),
+    _Opt("--out", "run.out", help="output path (benchmark/gamma-map append .json/.csv)"),
+)
+_STATE = (
+    _Opt("--state", "state.preset", default="vacuum", help="named state preset",
+         choices=tuple(sorted(STATE_PRESETS))),
+    # mu, lambda and orientation default to the preset's values (_state)
+    _Opt("--mu", "state.mu", float, help="phase-insensitive noise (default 1)"),
+    _Opt("--lambda", "state.lambda", float, help="ellipticity (default 1)"),
+    _Opt("--orientation", "state.orientation", float,
+         help="principal-axis angle in radians (folded to [0, pi))"),
+)
+_DETECTION = (
+    # estimate falls back to the dataset header before these defaults (_detection)
+    _Opt("--eta", "detection.eta", float, help="detector efficiency in (0, 1] (default 1)"),
+    _Opt("--g-elec", "detection.g_elec", _parse_g_elec,
+         help="electronic noise g11,g12,g22 (default 0)"),
+)
+_WORKERS = _Opt("--workers", "run.workers", int, 1, "process count (default 1)", low=1)
+
+_SIMULATE = _COMMON + _STATE + _DETECTION + (
+    _Opt("--scheme", "run.scheme", default="hom", help="measurement scheme (default hom)",
+         choices=("hom", "het")),
+    _Opt("--samples", "run.samples", int, 1000, "per-angle count (hom) or pair count (het)"),
+    _Opt("--angles", "run.angles", int, 100, "number of quadrature angles (default 100)"),
+    _Opt("--offset", "run.offset", float, None, "protocol offset (default: seeded random)"),
+    _Opt("--thermalize", "run.thermalize", _cast_bool, False, "phase-randomize"),
+    _Opt("--format", "run.format", default="csv", help="dataset format (csv|bin)",
+         choices=("csv", "bin")),
+)
+_ESTIMATE = _COMMON + _DETECTION + (
+    _Opt("--method", "run.method", help="homodyne estimator (default ml)", choices=("ml", "wls")),
+)
+_BENCHMARK = _COMMON + _STATE + _DETECTION + (
+    _Opt("--samples", "run.samples", _cast_int_list, (1500, 15000), "comma list of event budgets N"),
+    _Opt("--angles", "run.angles", _cast_int_list, (5, 10, 15), "comma list of angle counts m"),
+    _Opt("--reps", "run.reps", int, 200, "repetitions per cell (default 200)"),
+    _Opt("--reference-size", "run.reference_size", int),
+    _Opt("--exact-truth", "run.exact_truth", _cast_bool, False,
+         "score against the analytic covariance instead of a giant estimated reference"),
+    _WORKERS,
+)
+_GAMMA_MAP = _COMMON + _DETECTION + (
+    _Opt("--grid", "run.grid", _parse_grid, (10, 10), "ROWSxCOLS cell counts (default 10x10)"),
+    _Opt("--mu-range", "run.mu_range", _parse_range, (0.5, 4.0), "LOW:HIGH (default 0.5:4)"),
+    _Opt("--lambda-range", "run.lambda_range", _parse_range, (1.0, 8.0), "LOW:HIGH (default 1:8)"),
+    _Opt("--analytic", "run.analytic", _cast_bool, False,
+         "use the asymptotic expected errors instead of Monte Carlo"),
+    _Opt("--samples", "run.samples", int, 10000, "events per cell (default 10000)"),
+    _Opt("--angles", "run.angles", int, 10, "homodyne angle count (default 10)"),
+    _Opt("--reps", "run.reps", int, 200, "repetitions per cell (default 200)"),
+    _WORKERS,
+)
+_GAUSSIANITY = _COMMON + (
+    _Opt("--bins", "run.bins", int, DEFAULT_BINS, f"histogram bins (default {DEFAULT_BINS})",
+         low=MIN_BINS),
+)
+_CROSSOVER = _COMMON + _DETECTION + (
+    _Opt("--samples", "run.samples", int, 10000, "events per probe (default 10000)"),
+    _Opt("--angles", "run.angles", int, 10, "homodyne angle count (default 10)"),
+    _Opt("--reps", "run.reps", int, 3000, "repetitions per probe (default 3000)"),
+)
+
+
+def _load_ini(path) -> dict:
+    parser = configparser.ConfigParser()
+    sections = {key.partition(".")[0] for key in _INI_KEYS}
+    values = {}
+    try:
+        with open(path) as f:
+            parser.read_file(f)
+        for section in parser.sections():
+            if section not in sections:
+                raise ConfigError(f"unknown config section [{section}]")
+            # items() interpolates '%', so it can raise configparser errors too
+            for name, raw in parser.items(section):
+                key = f"{section}.{name}"
+                if key not in _INI_KEYS:
+                    raise ConfigError(f"unknown config key {name!r} in section [{section}]")
+                values[key] = raw
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span several lines; errors print as one
+        message = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse config file {path}: {message}") from exc
+    return values
+
+
+def _settings(args, opts) -> dict:
+    """Resolve each setting in opts to its flag value, else its config-file
+    value, else its default.  Flag and file values go through the same
+    choices check, cast and lower bound; any failure is one ConfigError."""
+    config = getattr(args, "config", None)
+    ini = _load_ini(config) if config else {}
+    values = {}
+    for opt in opts:
+        raw, where = getattr(args, opt.name), f"flag {opt.flag}"
+        if raw is None:
+            raw, where = ini.get(opt.key), f"config key {opt.key}"
+        if raw is None:
+            values[opt.name] = opt.default
+            continue
+        if opt.choices and raw not in opt.choices:
+            raise ConfigError(
+                f"{where}: invalid choice {raw!r} (choose from {', '.join(opt.choices)})"
+            )
+        try:
+            # a store_true flag arrives as True, not as a string
+            value = raw if raw is True else opt.cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: cannot parse {raw!r}") from exc
+        if opt.low is not None and value < opt.low:
+            raise ConfigError(f"{opt.name} must be >= {opt.low}, got {value}")
+        values[opt.name] = value
+    return values
+
+
+def _state(s: dict) -> StateSpec:
+    preset = STATE_PRESETS[s["preset"]]
+    mu, lam, orientation = (
+        base if s[name] is None else s[name]
+        for base, name in zip(preset, ("mu", "lambda", "orientation"))
+    )
     orientation = math.fmod(orientation, math.pi)
     if orientation < 0.0:
         orientation += math.pi
@@ -192,66 +275,43 @@ def _resolve_state(res: _Resolver) -> StateSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_detection(res: _Resolver, default: dict | None = None) -> DetectionModel:
-    """Flags, then INI, then default: a DetectionModel.to_dict() shape,
-    such as a dataset's meta, whose eta/g_elec keys may be missing."""
-    default = default or {}
-    eta = res.get("eta", "detection.eta", float, default.get("eta", 1.0))
-    g_elec = res.get("g_elec", "detection.g_elec", str, default.get("g_elec"))
+def _detection(s: dict, header: dict | None = None) -> DetectionModel:
+    """eta and g_elec from the settings, else from header (a dataset's
+    meta, whose eta/g_elec keys may be missing), else eta 1 and no noise."""
+    header = header or {}
+    g_elec = s["g_elec"]
     try:
-        if g_elec is None:
-            return DetectionModel(float(eta))
-        return DetectionModel(float(eta), _parse_g_elec(g_elec))
+        eta = float(header.get("eta", 1.0) if s["eta"] is None else s["eta"])
+        if g_elec is None and header.get("g_elec") is not None:
+            g_elec = _parse_g_elec(header["g_elec"])
+        return DetectionModel(eta) if g_elec is None else DetectionModel(eta, g_elec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_seed(res: _Resolver) -> int:
-    seed = res.get("seed", "run.seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return int(seed)
-
-
-def _state_dict(state: StateSpec) -> dict:
-    return {"mu": state.mu, "lambda": state.lam, "orientation": state.orientation}
-
-
-def _cmd_simulate(args) -> int:
-    res = _Resolver(args)
-    state = _resolve_state(res)
-    det = _resolve_detection(res)
-    seed = _resolve_seed(res)
-    scheme = res.get("scheme", "run.scheme", str, "hom")
-    if scheme not in ("hom", "het"):
-        raise ConfigError(f"scheme must be hom or het, got {scheme!r}")
-    samples = res.get("samples", "run.samples", int, 1000)
-    angles = res.get("angles", "run.angles", int, 100)
-    offset = res.get("offset", "run.offset", float, None)
-    thermalize = bool(res.get("thermalize", "run.thermalize", _cast_bool, False))
-    fmt = res.get("format", "run.format", str, "csv")
-    if fmt not in ("csv", "bin"):
-        raise ConfigError(f"datasets support --format csv or bin, got {fmt!r}")
-    out = res.get("out", "run.out", str, None)
+def _cmd_simulate(args, s: dict) -> int:
+    state = _state(s)
+    det = _detection(s)
+    seed, scheme, fmt, out = s["seed"], s["scheme"], s["format"], s["out"]
     if not out:
         raise ConfigError("simulate requires --out")
 
     g_w = wigner_cov(state)
     try:
         if scheme == "hom":
-            if offset is None:
+            if s["offset"] is None:
                 rng = np.random.Generator(
                     np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(5, 0)))
                 )
-                protocol = AngleProtocol.with_random_offset(angles, rng)
+                protocol = AngleProtocol.with_random_offset(s["angles"], rng)
             else:
-                protocol = AngleProtocol(angles, offset)
-            dataset = sample_homodyne(g_w, det, protocol, samples, seed)
-            if thermalize:
+                protocol = AngleProtocol(s["angles"], s["offset"])
+            dataset = sample_homodyne(g_w, det, protocol, s["samples"], seed)
+            if s["thermalize"]:
                 dataset = thermalize_homodyne(dataset, seed)
         else:
-            dataset = sample_heterodyne(g_w, det, samples, seed)
-            if thermalize:
+            dataset = sample_heterodyne(g_w, det, s["samples"], seed)
+            if s["thermalize"]:
                 dataset = thermalize_heterodyne(dataset, seed)
     except (InvalidProtocol, ValueError) as exc:
         # the samplers reject a bad --samples count with ValueError
@@ -262,11 +322,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    res = _Resolver(args)
+def _cmd_estimate(args, s: dict) -> int:
     dataset = read_dataset(args.dataset)
-    det = _resolve_detection(res, dataset.meta)
-    method = res.get("method", "run.method", str, None)
+    det = _detection(s, dataset.meta)
+    method = s["method"]
     if isinstance(dataset, HomodyneDataset):
         result = estimate_homodyne_wls(dataset, det) if method == "wls" else estimate_homodyne_ml(dataset, det)
     else:
@@ -280,46 +339,31 @@ def _cmd_estimate(args) -> int:
         "seed": dataset.meta.get("seed"),
         "method": method or ("ml" if result.scheme == "hom" else "sample-cov"),
     }
-    out = res.get("out", "run.out", str, None)
     body = {"kind": "estimate", **record}
-    if out:
-        payload = write_report_json(out, config, body)
+    if s["out"]:
+        payload = write_report_json(s["out"], config, body)
     else:
         payload = {"config": config, **body}
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     return 0
 
 
-def _cmd_benchmark(args) -> int:
-    res = _Resolver(args)
-    state = _resolve_state(res)
-    det = _resolve_detection(res)
-    seed = _resolve_seed(res)
-    sizes = res.get("samples", "run.samples", _cast_int_list, (1500, 15000))
-    if isinstance(sizes, int):
-        sizes = (sizes,)
-    angle_counts = res.get("angles", "run.angles", _cast_int_list, (5, 10, 15))
-    if isinstance(angle_counts, int):
-        angle_counts = (angle_counts,)
-    reps = res.get("reps", "run.reps", int, 200)
-    exact_truth = bool(res.get("exact_truth", "run.exact_truth", _cast_bool, False))
-    reference_size = res.get("reference_size", "run.reference_size", int, None)
+def _cmd_benchmark(args, s: dict) -> int:
+    reference_size = s["reference_size"]
     if reference_size is None:
-        reference_size = 0 if exact_truth else 100 * max(sizes)
-    workers = res.get("workers", "run.workers", int, 1)
-    out = res.get("out", "run.out", str, None)
-
+        reference_size = 0 if s["exact_truth"] else 100 * max(s["samples"])
     cfg = BenchmarkConfig(
-        state=state,
-        det=det,
-        sample_sizes=tuple(sizes),
-        angle_counts=tuple(angle_counts),
-        repetitions=reps,
-        seed=seed,
-        reference_size=int(reference_size),
-        exact_truth=exact_truth,
+        state=_state(s),
+        det=_detection(s),
+        sample_sizes=s["samples"],
+        angle_counts=s["angles"],
+        repetitions=s["reps"],
+        seed=s["seed"],
+        reference_size=reference_size,
+        exact_truth=s["exact_truth"],
     )
-    report = run_benchmark(cfg, workers=workers)
+    report = run_benchmark(cfg, workers=s["workers"])
+    out = s["out"]
     if out:
         write_report_json(f"{out}.json", cfg.to_dict(), {"kind": "benchmark", **report.to_dict()})
         write_benchmark_csv(f"{out}.csv", report)
@@ -334,32 +378,21 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
-def _cmd_gamma_map(args) -> int:
-    res = _Resolver(args)
-    det = _resolve_detection(res)
-    seed = _resolve_seed(res)
-    rows_cols = _parse_grid(res.get("grid", "run.grid", str, "10x10"))
-    mu_lo, mu_hi = _parse_range(res.get("mu_range", "run.mu_range", str, "0.5:4"))
-    lam_lo, lam_hi = _parse_range(res.get("lambda_range", "run.lambda_range", str, "1:8"))
-    analytic = bool(res.get("analytic", "run.analytic", _cast_bool, False))
-    n_events = res.get("samples", "run.samples", int, 10000)
-    m = res.get("angles", "run.angles", int, 10)
-    reps = res.get("reps", "run.reps", int, 200)
-    workers = res.get("workers", "run.workers", int, 1)
-    out = res.get("out", "run.out", str, None)
-
-    mu_values = np.linspace(mu_lo, mu_hi, rows_cols[0])
-    lam_values = np.linspace(lam_lo, lam_hi, rows_cols[1])
+def _cmd_gamma_map(args, s: dict) -> int:
+    det = _detection(s)
+    rows_cols = s["grid"]
+    mu_lo, mu_hi = s["mu_range"]
+    lam_lo, lam_hi = s["lambda_range"]
     rows = gamma_map(
-        mu_values,
-        lam_values,
+        np.linspace(mu_lo, mu_hi, rows_cols[0]),
+        np.linspace(lam_lo, lam_hi, rows_cols[1]),
         det,
-        n_events=n_events,
-        angle_count=m,
-        repetitions=reps,
-        seed=seed,
-        analytic=analytic,
-        workers=workers,
+        n_events=s["samples"],
+        angle_count=s["angles"],
+        repetitions=s["reps"],
+        seed=s["seed"],
+        analytic=s["analytic"],
+        workers=s["workers"],
     )
     config = {
         "kind": "gamma-map",
@@ -367,13 +400,14 @@ def _cmd_gamma_map(args) -> int:
         "grid": list(rows_cols),
         "mu_range": [mu_lo, mu_hi],
         "lambda_range": [lam_lo, lam_hi],
-        "analytic": analytic,
-        "samples": n_events,
-        "angles": m,
-        "reps": reps,
-        "seed": seed,
+        "analytic": s["analytic"],
+        "samples": s["samples"],
+        "angles": s["angles"],
+        "reps": s["reps"],
+        "seed": s["seed"],
     }
-    csv_text = gamma_map_csv(rows, seed, config)
+    csv_text = gamma_map_csv(rows, s["seed"], config)
+    out = s["out"]
     if out:
         write_report_json(f"{out}.json", config, {"kind": "gamma-map", "cells": rows})
         with open(f"{out}.csv", "w", newline="\n") as f:
@@ -384,11 +418,7 @@ def _cmd_gamma_map(args) -> int:
     return 0
 
 
-def _cmd_gaussianity(args) -> int:
-    res = _Resolver(args)
-    bins = res.get("bins", "run.bins", int, DEFAULT_BINS)
-    if bins < MIN_BINS:
-        raise ConfigError(f"bins must be >= {MIN_BINS}, got {bins}")
+def _cmd_gaussianity(args, s: dict) -> int:
     dataset = read_dataset(args.dataset)
     reports = []
     if isinstance(dataset, HomodyneDataset):
@@ -397,25 +427,24 @@ def _cmd_gaussianity(args) -> int:
         series = [("axis=x", dataset.pairs[:, 0]), ("axis=p", dataset.pairs[:, 1])]
     for label, values in series:
         try:
-            reports.append({"label": label, **test_gaussianity(values, bins).to_dict()})
+            reports.append({"label": label, **test_gaussianity(values, s["bins"]).to_dict()})
         except GaussTomoError as exc:
             reports.append({"label": label, "error": f"{type(exc).__name__}: {exc}"})
     config = {
         "dataset": str(args.dataset),
-        "bins": bins,
+        "bins": s["bins"],
         "seed": dataset.meta.get("seed"),
     }
     body = {"kind": "gaussianity", "reports": reports}
-    out = res.get("out", "run.out", str, None)
-    if out:
-        payload = write_report_json(out, config, body)
+    if s["out"]:
+        payload = write_report_json(s["out"], config, body)
     else:
         payload = {"config": config, **body}
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, s: dict) -> int:
     all_ok = True
     for path in args.paths:
         ok, message = verify_file(path)
@@ -424,39 +453,29 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
-def _cmd_crossover(args) -> int:
+def _cmd_crossover(args, s: dict) -> int:
     # small helper around the benchmark for locating the gamma=1 state
-    res = _Resolver(args)
-    det = _resolve_detection(res)
-    seed = _resolve_seed(res)
-    n_events = res.get("samples", "run.samples", int, 10000)
-    m = res.get("angles", "run.angles", int, 10)
-    reps = res.get("reps", "run.reps", int, 3000)
     mu = find_isotropic_crossover(
-        det, n_events=n_events, angle_count=m, repetitions=reps, seed=seed
+        _detection(s),
+        n_events=s["samples"],
+        angle_count=s["angles"],
+        repetitions=s["reps"],
+        seed=s["seed"],
     )
     print(f"isotropic gamma=1 crossover at mu = {mu:.4f}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI config file; flags override its values")
-    parser.add_argument("--seed", type=int, help="root seed (default 0)")
-    parser.add_argument("--out", help="output path (benchmark/gamma-map append .json/.csv)")
-
-
-def _add_state(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--state", choices=sorted(STATE_PRESETS), help="named state preset")
-    parser.add_argument("--mu", type=float, help="phase-insensitive noise (default 1)")
-    parser.add_argument("--lambda", dest="lam", type=float, help="ellipticity (default 1)")
-    parser.add_argument(
-        "--orientation", type=float, help="principal-axis angle in radians (folded to [0, pi))"
-    )
-
-
-def _add_detection(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, help="detector efficiency in (0, 1] (default 1)")
-    parser.add_argument("--g-elec", dest="g_elec", help="electronic noise g11,g12,g22 (default 0)")
+# name, help, settings table, handler; verify takes no settings
+_COMMANDS = (
+    ("simulate", "generate a synthetic measurement record", _SIMULATE, _cmd_simulate),
+    ("estimate", "reconstruct a covariance from a dataset file", _ESTIMATE, _cmd_estimate),
+    ("benchmark", "Monte Carlo accuracy comparison of both schemes", _BENCHMARK, _cmd_benchmark),
+    ("gamma-map", "gamma over a (mu, lambda) grid", _GAMMA_MAP, _cmd_gamma_map),
+    ("gaussianity", "goodness-of-fit battery on a dataset file", _GAUSSIANITY, _cmd_gaussianity),
+    ("crossover", "bisect the isotropic state where gamma crosses 1", _CROSSOVER, _cmd_crossover),
+)
+_INI_KEYS = frozenset(opt.key for _, _, opts, _ in _COMMANDS for opt in opts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,80 +484,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and benchmark homodyne vs heterodyne Gaussian-state tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic measurement record")
-    _add_common(p)
-    _add_state(p)
-    _add_detection(p)
-    p.add_argument("--scheme", choices=["hom", "het"], help="measurement scheme (default hom)")
-    p.add_argument("--samples", type=int, help="per-angle count (hom) or pair count (het)")
-    p.add_argument("--angles", type=int, help="number of quadrature angles (default 100)")
-    p.add_argument("--offset", type=float, help="protocol offset (default: seeded random)")
-    p.add_argument("--thermalize", action="store_true", default=None, help="phase-randomize")
-    p.add_argument("--format", choices=["csv", "bin"], help="dataset format (csv|bin)")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("estimate", help="reconstruct a covariance from a dataset file")
-    _add_common(p)
-    _add_detection(p)
-    p.add_argument("dataset", help="dataset file (csv or bin)")
-    p.add_argument("--method", choices=["ml", "wls"], help="homodyne estimator (default ml)")
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("benchmark", help="Monte Carlo accuracy comparison of both schemes")
-    _add_common(p)
-    _add_state(p)
-    _add_detection(p)
-    p.add_argument("--samples", type=_cast_int_list, help="comma list of event budgets N")
-    p.add_argument("--angles", type=_cast_int_list, help="comma list of angle counts m")
-    p.add_argument("--reps", type=int, help="repetitions per cell (default 200)")
-    p.add_argument("--reference-size", dest="reference_size", type=int)
-    p.add_argument(
-        "--exact-truth",
-        dest="exact_truth",
-        action="store_true",
-        default=None,
-        help="score against the analytic covariance instead of a giant estimated reference",
-    )
-    p.add_argument("--workers", type=int, help="process count (default 1)")
-    p.set_defaults(func=_cmd_benchmark)
-
-    p = sub.add_parser("gamma-map", help="gamma over a (mu, lambda) grid")
-    _add_common(p)
-    _add_detection(p)
-    p.add_argument("--grid", help="ROWSxCOLS cell counts (default 10x10)")
-    p.add_argument("--mu-range", dest="mu_range", help="LOW:HIGH (default 0.5:4)")
-    p.add_argument("--lambda-range", dest="lambda_range", help="LOW:HIGH (default 1:8)")
-    p.add_argument(
-        "--analytic",
-        action="store_true",
-        default=None,
-        help="use the asymptotic expected errors instead of Monte Carlo",
-    )
-    p.add_argument("--samples", type=int, help="events per cell (default 10000)")
-    p.add_argument("--angles", type=int, help="homodyne angle count (default 10)")
-    p.add_argument("--reps", type=int, help="repetitions per cell (default 200)")
-    p.add_argument("--workers", type=int, help="process count (default 1)")
-    p.set_defaults(func=_cmd_gamma_map)
-
-    p = sub.add_parser("gaussianity", help="goodness-of-fit battery on a dataset file")
-    _add_common(p)
-    p.add_argument("dataset", help="dataset file (csv or bin)")
-    p.add_argument("--bins", type=int, help="histogram bins (default 101)")
-    p.set_defaults(func=_cmd_gaussianity)
-
-    p = sub.add_parser("crossover", help="bisect the isotropic state where gamma crosses 1")
-    _add_common(p)
-    _add_detection(p)
-    p.add_argument("--samples", type=int, help="events per probe (default 10000)")
-    p.add_argument("--angles", type=int, help="homodyne angle count (default 10)")
-    p.add_argument("--reps", type=int, help="repetitions per probe (default 3000)")
-    p.set_defaults(func=_cmd_crossover)
+    for name, help_text, opts, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="INI config file; flags override its values")
+        for opt in opts:
+            # flags take raw strings; _settings casts and checks them
+            if opt.cast is _cast_bool:
+                p.add_argument(opt.flag, dest=opt.name, action="store_true", default=None,
+                               help=opt.help)
+            else:
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument(opt.flag, dest=opt.name, metavar=metavar, help=opt.help)
+        if name in ("estimate", "gaussianity"):
+            p.add_argument("dataset", help="dataset file (csv or bin)")
+        p.set_defaults(func=func, opts=opts)
 
     p = sub.add_parser("verify", help="check the embedded config hash of output files")
     p.add_argument("paths", nargs="+", help="files to verify")
-    p.set_defaults(func=_cmd_verify)
-
+    p.set_defaults(func=_cmd_verify, opts=())
     return parser
 
 
@@ -546,7 +509,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _settings(args, args.opts))
     except (ConfigError, InvalidProtocol, UnknownScheme, DataFormatError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gauss_tomo.benchmark as bm
-from gauss_tomo import read_dataset
+from gauss_tomo import cli, read_dataset
 from gauss_tomo.cli import main
 
 
@@ -64,10 +64,11 @@ class TestSimulate:
         assert "ConfigError" in err
 
     def test_rejects_json_dataset_format(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["simulate", "--samples", "10", "--format", "json",
-                  "--out", str(tmp_path / "d")])
-        assert exc_info.value.code == 2
+        code, _, err = run(capsys, "simulate", "--samples", "10", "--format", "json",
+                           "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert err == ("error: ConfigError: flag --format: invalid choice 'json' "
+                       "(choose from csv, bin)\n")
 
     @pytest.mark.parametrize(
         "extra",
@@ -375,11 +376,137 @@ class TestConfigFile:
         assert err.startswith(f"error: ConfigError: cannot parse config file {ini}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("garbage\n", "File contains no section headers. file: '{ini}', line: 1 'garbage\\n'"),
+            ("[run]\nout = 50%\n", "'%' must be followed by '%' or '(', found: '%'"),
+        ],
+        ids=["no-section", "bad-interpolation"],
+    )
+    def test_unparsable_file_is_one_line(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        code, _, err = run(capsys, "simulate", "--config", str(ini), "--out", "x")
+        assert code == 2
+        assert err == (f"error: ConfigError: cannot parse config file {ini}: "
+                       + message.format(ini=ini) + "\n")
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[extras]\na = 1\n")
         code, _, err = run(capsys, "simulate", "--config", str(ini), "--out", "x")
         assert code == 2
+
+
+class TestSettingsTable:
+    """Every setting is declared once in cli._COMMANDS; flag and config-file
+    values go through the same checks."""
+
+    # (command, setting, source) for each setting with a cast or choices;
+    # an on/off flag takes no value, so those are fed through the file only
+    CHECKED = [
+        (command, opt, source)
+        for command, _, opts, _ in cli._COMMANDS
+        for opt in opts
+        if opt.cast is not str or opt.choices
+        for source in ("flag", "ini")
+        if source == "ini" or opt.cast is not cli._cast_bool
+    ]
+
+    def test_ini_keys(self):
+        run_keys = {
+            "seed", "scheme", "samples", "angles", "offset", "reps", "thermalize",
+            "analytic", "exact_truth", "reference_size", "workers", "out", "format",
+            "grid", "mu_range", "lambda_range", "bins", "method",
+        }
+        assert cli._INI_KEYS == {
+            "state.preset", "state.mu", "state.lambda", "state.orientation",
+            "detection.eta", "detection.g_elec",
+        } | {f"run.{k}" for k in run_keys}
+
+    @pytest.mark.parametrize(
+        "command,opt,source", CHECKED, ids=[f"{c}{o.flag}-{src}" for c, o, src in CHECKED]
+    )
+    def test_bad_value_is_one_line(self, tmp_path, capsys, command, opt, source):
+        argv = [command]
+        if command in ("estimate", "gaussianity"):
+            argv.append(str(tmp_path / "missing.csv"))
+        if source == "flag":
+            argv += [opt.flag, "abc"]
+        else:
+            section, _, name = opt.key.partition(".")
+            ini = tmp_path / "bad.ini"
+            ini.write_text(f"[{section}]\n{name} = abc\n")
+            argv += ["--config", str(ini)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ConfigError:")
+        assert err.count("\n") == 1
+        assert stdout == ""
+
+    def test_unknown_method_in_config(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--angles", "5", "--samples", "40", "--out", str(data)]) == 0
+        capsys.readouterr()
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nmethod = foo\n")
+        code, stdout, err = run(capsys, "estimate", str(data), "--config", str(ini))
+        assert code == 2
+        assert err == ("error: ConfigError: config key run.method: invalid choice 'foo' "
+                       "(choose from ml, wls)\n")
+        assert stdout == ""
+
+
+class TestWorkers:
+    BENCH = ["benchmark", "--angles", "5", "--reps", "10", "--exact-truth"]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_non_positive_is_config_error(self, tmp_path, capsys, value, source):
+        if source == "flag":
+            extra = ["--workers", value]
+        else:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[run]\nworkers = {value}\n")
+            extra = ["--config", str(ini)]
+        code, stdout, err = run(capsys, *self.BENCH, "--samples", "600", *extra)
+        assert code == 2
+        assert err == f"error: ConfigError: workers must be >= 1, got {value}\n"
+        assert stdout == ""
+
+    def test_pool_size_is_capped(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bm, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(bm.os, "cpu_count", lambda: 3)
+        huge = ["--workers", "1000000"]
+        # 2 sample sizes x (1 hom + 1 het) = 4 cells, 3 CPUs
+        assert main([*self.BENCH, "--samples", "600,1200", *huge,
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main([*self.BENCH, "--samples", "600,1200", "--workers", "1",
+                     "--out", str(tmp_path / "b")]) == 0
+        # 2 cells, 3 CPUs
+        assert main(["gamma-map", "--grid", "2x1", "--samples", "1000", "--angles", "5",
+                     "--reps", "30", *huge]) == 0
+        capsys.readouterr()
+        assert sizes == [3, 2]
+        for suffix in (".json", ".csv"):
+            a = (tmp_path / f"a{suffix}").read_bytes()
+            assert a == (tmp_path / f"b{suffix}").read_bytes()
 
 
 def test_unknown_subcommand_exits_2(capsys):
