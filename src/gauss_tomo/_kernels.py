@@ -107,7 +107,8 @@ def ml_fit_rows(v, n, c2, s2, max_iter, tol):
             break
         va, na, ca, sa, aa, la = v[idx], n[idx], c2[idx], s2[idx], a[idx], lik[idx]
         s = aa[:, 0:1] + aa[:, 1:2] * ca + aa[:, 2:3] * sa
-        d0, d1, d2, ok = _normal_equations(na / (2.0 * s * s), va - s, ca, sa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d0, d1, d2, ok = _normal_equations(na / (2.0 * s * s), va - s, ca, sa)
         delta = np.stack([d0, d1, d2], axis=-1)
         step = np.ones(idx.size)
         new_lik = np.full(idx.size, -np.inf)

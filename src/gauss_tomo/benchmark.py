@@ -16,6 +16,10 @@ draws all its repetitions from it, so reports are bit-identical for any
 worker count.  A cell is then fitted as one batch: its R repetitions are
 the rows of one call to the row estimator cores, which give each row the
 result it would get alone, and are projected and scored as arrays.
+
+The references, each Monte Carlo gamma-map cell and each crossover probe
+draw a child seed from the root seed (sampling._child_seed); a map cell
+and a probe are both one-cell exact-truth benchmarks (_mc_gamma).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -41,20 +45,14 @@ from .core import (
 )
 from .errors import ConfigError, GaussTomoError, SingularMatrix
 from .estimation import _estimate_het, _fit_het_rows, _fit_hom_rows, estimate_from_variances
-from .sampling import TWO_PI, AngleProtocol, draw_heterodyne_covs, draw_homodyne_variances
+from .sampling import (
+    _DOM_CROSSOVER, _DOM_MAP_CELL, _DOM_REF_HET, _DOM_REF_HOM, _DOM_UNIT_HET, _DOM_UNIT_HOM,
+    TWO_PI, _child_seed, _rng, draw_heterodyne_covs, draw_homodyne_variances,
+)
 
 GAMMA_MIN_REPS = 30
-
-_DOM_REF_HOM = 10
-_DOM_REF_HET = 11
-_DOM_UNIT_HOM = 20
-_DOM_UNIT_HET = 21
-_DOM_MAP_CELL = 30
-
-
-def _unit_rng(root_seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(root_seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.PCG64(ss))
+REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
+_OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
 
 
 def _distinct_mod_pi(m: int) -> int:
@@ -94,7 +92,6 @@ class BenchmarkConfig:
     seed: int
     reference_size: int = 0
     exact_truth: bool = False
-    reference_angle_count: int = 100
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sample_sizes)
@@ -115,14 +112,11 @@ class BenchmarkConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if int(self.seed) < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not self.exact_truth:
-            if self.reference_size < 100 * max(sizes):
-                raise ConfigError(
-                    f"reference_size {self.reference_size} must be >= 100x the largest "
-                    f"sample size {max(sizes)} (or use exact_truth)"
-                )
-            if self.reference_size // self.reference_angle_count < 2:
-                raise ConfigError("reference_size leaves < 2 events per reference angle")
+        if not self.exact_truth and self.reference_size < 100 * max(sizes):
+            raise ConfigError(
+                f"reference_size {self.reference_size} must be >= 100x the largest "
+                f"sample size {max(sizes)} (or use exact_truth)"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -138,7 +132,7 @@ class BenchmarkConfig:
             "seed": int(self.seed),
             "reference_size": self.reference_size,
             "exact_truth": self.exact_truth,
-            "reference_angle_count": self.reference_angle_count,
+            "reference_angle_count": REFERENCE_ANGLES,
         }
 
 
@@ -199,43 +193,27 @@ class BenchmarkReport:
         }
 
 
-def build_reference(
-    state: StateSpec,
-    det: DetectionModel,
-    scheme: str,
-    reference_size: int,
-    seed: int,
-    angle_count: int = 100,
-    exact: bool = False,
-) -> CovMat:
-    """Reference covariance the benchmark scores against.
+def _references(cfg: BenchmarkConfig) -> tuple:
+    """(homodyne, heterodyne) reference covariances the cells are scored against.
 
-    Default: draw the statistics of a reference_size-event record of the
-    scheme from their exact laws, fit them with the scheme's own
-    estimator and use that estimate as the truth proxy.  With exact=True
-    the analytic Wigner covariance is returned instead; both modes must
-    agree within the reference's own statistical error.
+    With exact_truth both are the analytic Wigner covariance.  Otherwise
+    each scheme draws the statistics of a reference_size-event record
+    (homodyne: REFERENCE_ANGLES equally spaced angles) from their exact
+    laws, fits them with its own estimator and uses that estimate as the
+    truth proxy.
     """
-    if exact:
-        return wigner_cov(state)
-    g_w = wigner_cov(state)
-    rng = _unit_rng(seed)
-    if scheme == "hom":
-        n_per = int(reference_size) // int(angle_count)
-        if n_per < 2:
-            raise ConfigError(
-                f"reference_size {reference_size} leaves < 2 events per angle at {angle_count} angles"
-            )
-        angles = AngleProtocol(angle_count, 0.0).angles
-        v = draw_homodyne_variances(g_w, det, angles, n_per, rng)
-        counts = np.full(angle_count, n_per, dtype=float)
-        return estimate_from_variances(angles, v, counts, det, method="ml").g_w_hat
-    if scheme == "het":
-        n = int(reference_size)
-        if n < 2:
-            raise ConfigError(f"reference_size must be >= 2, got {reference_size}")
-        return _estimate_het(draw_heterodyne_covs(g_w, det, n, 1, rng)[0], n, det, {}).g_w_hat
-    raise ConfigError(f"scheme must be 'hom' or 'het', got {scheme!r}")
+    g_w, det, n = wigner_cov(cfg.state), cfg.det, cfg.reference_size
+    if cfg.exact_truth:
+        return g_w, g_w
+    rng = _rng(_child_seed(cfg.seed, _DOM_REF_HOM, 0))
+    angles = np.arange(REFERENCE_ANGLES) * (TWO_PI / REFERENCE_ANGLES)
+    n_per = n // REFERENCE_ANGLES
+    v = draw_homodyne_variances(g_w, det, angles, n_per, rng)
+    counts = np.full(REFERENCE_ANGLES, n_per, dtype=float)
+    hom = estimate_from_variances(angles, v, counts, det, method="ml").g_w_hat
+    rng = _rng(_child_seed(cfg.seed, _DOM_REF_HET, 0))
+    het = _estimate_het(draw_heterodyne_covs(g_w, det, n, 1, rng)[0], n, det, {}).g_w_hat
+    return hom, het
 
 
 def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
@@ -249,14 +227,14 @@ def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
     scheme, i_n, i_m, n_events, m = task
     g_w, det, reps = wigner_cov(cfg.state), cfg.det, cfg.repetitions
     if scheme == "hom":
-        rng = _unit_rng(int(cfg.seed), _DOM_UNIT_HOM, i_n, i_m)
+        rng = _rng(int(cfg.seed), _DOM_UNIT_HOM, i_n, i_m)
         angles = rng.uniform(0.0, TWO_PI / m, (reps, 1)) + np.arange(m) * (TWO_PI / m)
         v = draw_homodyne_variances(g_w, det, angles, n_events // m, rng)
         counts = np.full(m, n_events // m, dtype=float)
         rows = _fit_hom_rows(angles, v, counts, det, "ml")
         cov, ok, ref = rows.cov, rows.converged, ref_hom
     else:
-        rng = _unit_rng(int(cfg.seed), _DOM_UNIT_HET, i_n)
+        rng = _rng(int(cfg.seed), _DOM_UNIT_HET, i_n)
         s = draw_heterodyne_covs(g_w, det, n_events, reps, rng)
         cov, _ = _fit_het_rows(s, n_events, det)
         ok, ref = np.ones(reps, dtype=bool), ref_het
@@ -298,26 +276,7 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     workers > 1 spreads the independent cells over a process pool; the
     per-cell seeding keeps the report identical for any worker count.
     """
-    g_w = wigner_cov(cfg.state)
-    if cfg.exact_truth:
-        ref_hom = ref_het = g_w
-    else:
-        ref_hom = build_reference(
-            cfg.state,
-            cfg.det,
-            "hom",
-            cfg.reference_size,
-            int(_unit_rng(cfg.seed, _DOM_REF_HOM, 0).integers(0, 2**63)),
-            angle_count=cfg.reference_angle_count,
-        )
-        ref_het = build_reference(
-            cfg.state,
-            cfg.det,
-            "het",
-            cfg.reference_size,
-            int(_unit_rng(cfg.seed, _DOM_REF_HET, 0).integers(0, 2**63)),
-        )
-
+    ref_hom, ref_het = _references(cfg)
     tasks = []
     for i_n, n_events in enumerate(cfg.sample_sizes):
         for i_m, m in enumerate(cfg.angle_counts):
@@ -337,12 +296,7 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     gamma = {}
     for (n_events, m), hom in hom_stats.items():
         het = het_stats[n_events]
-        if (
-            cfg.repetitions >= GAMMA_MIN_REPS
-            and hom.used >= GAMMA_MIN_REPS
-            and het.used >= GAMMA_MIN_REPS
-            and hom.mean > 0.0
-        ):
+        if hom.used >= GAMMA_MIN_REPS and het.used >= GAMMA_MIN_REPS and hom.mean > 0.0:
             value = het.mean / hom.mean
             rel = math.hypot(het.stderr / het.mean, hom.stderr / hom.mean)
             gamma[(n_events, m)] = (value, value * rel)
@@ -386,7 +340,6 @@ def expected_hom_hs_error(
     angle_count: int,
     n_events: int,
     offset: Optional[float] = None,
-    offset_points: int = 64,
 ) -> float:
     """Asymptotic E[D_HS] of the homodyne ML estimator.
 
@@ -394,14 +347,16 @@ def expected_hom_hs_error(
     variance statistics: each angle contributes (n_theta / (2 sigma_theta^4))
     u u^T with u = (cos^2, sin 2theta, sin^2).  E[D_HS] is the weighted
     trace of the inverse.  With offset=None the value is averaged over
-    the protocol offset, matching the benchmark's random-offset draws.
+    _OFFSET_POINTS protocol offsets, matching the benchmark's random-offset
+    draws.  A state whose variances underflow or overflow gives NaN or
+    SingularMatrix, without numpy warnings.
     """
     m = int(angle_count)
     if _distinct_mod_pi(m) < 3:
         raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
     g_noisy = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
     if offset is None:
-        offsets = (np.arange(offset_points) + 0.5) * (TWO_PI / m) / offset_points
+        offsets = (np.arange(_OFFSET_POINTS) + 0.5) * (TWO_PI / m) / _OFFSET_POINTS
     else:
         offsets = np.array([float(offset)])
     n_theta = n_events / m
@@ -410,10 +365,12 @@ def expected_hom_hs_error(
     c = np.cos(th)
     s = np.sin(th)
     u = np.stack([c * c, 2.0 * c * s, s * s], axis=-1)
-    w = n_theta / (2.0 * sig2**2)
-    info = np.swapaxes(u * w[..., None], -1, -2) @ u
-    scale = np.abs(info).max(axis=(-2, -1))
-    if np.any(scale == 0.0) or np.any(np.abs(np.linalg.det(info)) < 1e-13 * scale**3):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = n_theta / (2.0 * sig2**2)
+        info = np.swapaxes(u * w[..., None], -1, -2) @ u
+        scale = np.abs(info).max(axis=(-2, -1))
+        singular = np.any(scale == 0.0) or np.any(np.abs(np.linalg.det(info)) < 1e-13 * scale**3)
+    if singular:
         raise SingularMatrix("Fisher information is singular for this protocol")
     inv = np.linalg.inv(info)
     traces = np.sum(_HS_WEIGHTS * np.diagonal(inv, axis1=-2, axis2=-1), axis=-1)
@@ -454,8 +411,8 @@ def gamma_map(
     Returns plot-ready rows {mu, lambda, gamma}; cells whose evaluation
     fails numerically carry gamma = NaN.  A protocol that no cell can
     use raises ConfigError before any cell runs.  Empirical cells run a
-    one-cell benchmark against the exact covariance with per-cell
-    derived seeds.
+    one-cell benchmark against the exact covariance (_mc_gamma) with
+    per-cell child seeds.
     """
     mu_values = [float(v) for v in mu_values]
     lam_values = [float(v) for v in lam_values]
@@ -487,21 +444,17 @@ def _map_cell(cell, det=None, n_events=0, angle_count=0, repetitions=0, seed=0, 
         if analytic:
             value = gamma_analytic(state, det, angle_count)
         else:
-            cell_seed = int(_unit_rng(seed, _DOM_MAP_CELL, i, j).integers(0, 2**63))
-            cfg = BenchmarkConfig(
-                state=state,
-                det=det,
-                sample_sizes=(n_events,),
-                angle_counts=(angle_count,),
-                repetitions=repetitions,
-                seed=cell_seed,
-                exact_truth=True,
-            )
-            report = run_benchmark(cfg)
-            value = report.gamma[(n_events, angle_count)][0]
+            cell_seed = _child_seed(seed, _DOM_MAP_CELL, i, j)
+            value = _mc_gamma(state, det, n_events, angle_count, repetitions, cell_seed)
     except (GaussTomoError, ValueError, OverflowError):
         value = math.nan
     return {"mu": mu, "lambda": lam, "gamma": value}
+
+
+def _mc_gamma(state: StateSpec, det: DetectionModel, n: int, m: int, reps: int, seed: int) -> float:
+    """Empirical gamma of the one (n, m) cell, scored against the exact covariance."""
+    cfg = BenchmarkConfig(state, det, (n,), (m,), int(reps), seed, exact_truth=True)
+    return run_benchmark(cfg).gamma[(int(n), int(m))][0]
 
 
 def find_isotropic_crossover(
@@ -510,39 +463,29 @@ def find_isotropic_crossover(
     angle_count: int = 10,
     repetitions: int = 3000,
     seed: int = 0,
-    bracket: tuple = (1.0, 1.5),
-    steps: int = 8,
 ) -> float:
     """Bisect for the isotropic mu where empirical gamma crosses 1.
 
     gamma decreases monotonically in mu for lambda = 1, from 1.2 at the
-    vacuum toward 0.3; the crossover sits near mu = 1.21.  Each probe
-    runs an exact-truth benchmark with a seed derived from (seed, step).
-    Too few repetitions to report gamma raise ConfigError before any probe.
+    vacuum toward 0.3; the crossover sits near mu = 1.21.  The bracket
+    [1, 1.5] is bisected 8 times.  Each probe runs _mc_gamma with a child
+    seed of (seed, step).  Too few repetitions to report gamma raise
+    ConfigError before any probe.
     """
     _check_gamma_reps(int(repetitions))
 
     def gamma_at(mu: float, step: int) -> float:
-        cfg = BenchmarkConfig(
-            state=StateSpec(mu, 1.0),
-            det=det,
-            sample_sizes=(int(n_events),),
-            angle_counts=(int(angle_count),),
-            repetitions=int(repetitions),
-            seed=int(_unit_rng(seed, 40, step).integers(0, 2**63)),
-            exact_truth=True,
-        )
-        report = run_benchmark(cfg)
-        return report.gamma[(int(n_events), int(angle_count))][0]
+        probe_seed = _child_seed(seed, _DOM_CROSSOVER, step)
+        return _mc_gamma(StateSpec(mu, 1.0), det, n_events, angle_count, repetitions, probe_seed)
 
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = 1.0, 1.5
     g_lo = gamma_at(lo, 0)
     g_hi = gamma_at(hi, 1)
     if not (g_lo > 1.0 > g_hi):
         raise GaussTomoError(
             f"bracket does not straddle gamma=1: gamma({lo})={g_lo:.4f}, gamma({hi})={g_hi:.4f}"
         )
-    for step in range(2, 2 + steps):
+    for step in range(2, 10):
         mid = 0.5 * (lo + hi)
         if gamma_at(mid, step) > 1.0:
             lo = mid

@@ -51,8 +51,10 @@ from .errors import (
 from .estimation import estimate_heterodyne, estimate_homodyne_ml, estimate_homodyne_wls
 from .gaussianity import DEFAULT_BINS, MIN_BINS, test_gaussianity
 from .sampling import (
+    _DOM_OFFSET,
     AngleProtocol,
     HomodyneDataset,
+    _rng,
     sample_heterodyne,
     sample_homodyne,
     thermalize_heterodyne,
@@ -143,10 +145,8 @@ def _parse_grid(raw: str) -> tuple:
     return r, c
 
 
-_COMMON = (
-    _Opt("--seed", "run.seed", int, 0, "root seed (default 0)", low=0),
-    _Opt("--out", "run.out", help="output path (benchmark/gamma-map append .json/.csv)"),
-)
+_SEED = _Opt("--seed", "run.seed", int, 0, "root seed (default 0)", low=0)
+_OUT = _Opt("--out", "run.out", help="output path (benchmark/gamma-map append .json/.csv)")
 _STATE = (
     _Opt("--state", "state.preset", default="vacuum", help="named state preset",
          choices=tuple(sorted(STATE_PRESETS))),
@@ -164,7 +164,7 @@ _DETECTION = (
 )
 _WORKERS = _Opt("--workers", "run.workers", int, 1, "process count (default 1)", low=1)
 
-_SIMULATE = _COMMON + _STATE + _DETECTION + (
+_SIMULATE = (_SEED, _OUT) + _STATE + _DETECTION + (
     _Opt("--scheme", "run.scheme", default="hom", help="measurement scheme (default hom)",
          choices=("hom", "het")),
     _Opt("--samples", "run.samples", int, 1000, "per-angle count (hom) or pair count (het)"),
@@ -174,10 +174,10 @@ _SIMULATE = _COMMON + _STATE + _DETECTION + (
     _Opt("--format", "run.format", default="csv", help="dataset format (csv|bin)",
          choices=("csv", "bin")),
 )
-_ESTIMATE = _COMMON + _DETECTION + (
+_ESTIMATE = (_OUT,) + _DETECTION + (
     _Opt("--method", "run.method", help="homodyne estimator (default ml)", choices=("ml", "wls")),
 )
-_BENCHMARK = _COMMON + _STATE + _DETECTION + (
+_BENCHMARK = (_SEED, _OUT) + _STATE + _DETECTION + (
     _Opt("--samples", "run.samples", _cast_int_list, (1500, 15000), "comma list of event budgets N"),
     _Opt("--angles", "run.angles", _cast_int_list, (5, 10, 15), "comma list of angle counts m"),
     _Opt("--reps", "run.reps", int, 200, "repetitions per cell (default 200)"),
@@ -186,7 +186,7 @@ _BENCHMARK = _COMMON + _STATE + _DETECTION + (
          "score against the analytic covariance instead of a giant estimated reference"),
     _WORKERS,
 )
-_GAMMA_MAP = _COMMON + _DETECTION + (
+_GAMMA_MAP = (_SEED, _OUT) + _DETECTION + (
     _Opt("--grid", "run.grid", _parse_grid, (10, 10), "ROWSxCOLS cell counts (default 10x10)"),
     _Opt("--mu-range", "run.mu_range", _parse_range, (0.5, 4.0), "LOW:HIGH (default 0.5:4)"),
     _Opt("--lambda-range", "run.lambda_range", _parse_range, (1.0, 8.0), "LOW:HIGH (default 1:8)"),
@@ -197,11 +197,12 @@ _GAMMA_MAP = _COMMON + _DETECTION + (
     _Opt("--reps", "run.reps", int, 200, "repetitions per cell (default 200)"),
     _WORKERS,
 )
-_GAUSSIANITY = _COMMON + (
+_GAUSSIANITY = (
+    _OUT,
     _Opt("--bins", "run.bins", int, DEFAULT_BINS, f"histogram bins (default {DEFAULT_BINS})",
          low=MIN_BINS),
 )
-_CROSSOVER = _COMMON + _DETECTION + (
+_CROSSOVER = (_SEED,) + _DETECTION + (
     _Opt("--samples", "run.samples", int, 10000, "events per probe (default 10000)"),
     _Opt("--angles", "run.angles", int, 10, "homodyne angle count (default 10)"),
     _Opt("--reps", "run.reps", int, 3000, "repetitions per probe (default 3000)"),
@@ -266,6 +267,8 @@ def _state(s: dict) -> StateSpec:
         base if s[name] is None else s[name]
         for base, name in zip(preset, ("mu", "lambda", "orientation"))
     )
+    if math.isinf(orientation):
+        raise ConfigError(f"orientation must be finite, got {orientation}")
     orientation = math.fmod(orientation, math.pi)
     if orientation < 0.0:
         orientation += math.pi
@@ -300,10 +303,7 @@ def _cmd_simulate(args, s: dict) -> int:
     try:
         if scheme == "hom":
             if s["offset"] is None:
-                rng = np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(5, 0)))
-                )
-                protocol = AngleProtocol.with_random_offset(s["angles"], rng)
+                protocol = AngleProtocol.with_random_offset(s["angles"], _rng(seed, _DOM_OFFSET, 0))
             else:
                 protocol = AngleProtocol(s["angles"], s["offset"])
             dataset = sample_homodyne(g_w, det, protocol, s["samples"], seed)

@@ -1,9 +1,11 @@
 """Seeded synthesis of homodyne and heterodyne measurement records.
 
-Randomness discipline: every stream derives from numpy's PCG64 seeded
-through SeedSequence(seed, spawn_key=(domain, index, batch)).  Domains
-keep the streams disjoint (0 homodyne draws, 1 heterodyne draws,
-2 homodyne shuffling, 3 heterodyne rotations); the batch axis cuts a
+Randomness discipline: every stream in the package derives from numpy's
+PCG64 seeded through SeedSequence(seed, spawn_key=(domain, ...)), made
+by _rng; a sub-run (a reference, a Monte Carlo map cell, a crossover
+probe) takes a root seed of its own from _child_seed.  The domains, all
+named in one table below, keep the streams disjoint.  The event samplers
+key their streams by (domain, index, batch): the batch axis cuts a
 record into SAMPLING_BATCH-event chunks with streams of their own, so
 the first events of a record do not depend on its length.  The scheme
 is tagged in dataset metadata as "rng".
@@ -27,17 +29,29 @@ from .errors import InvalidProtocol, RaggedDataset
 RNG_TAG = "numpy-pcg64-ss1"
 SAMPLING_BATCH = 1 << 20
 
-_DOM_HOM = 0
-_DOM_HET = 1
-_DOM_THERM_HOM = 2
-_DOM_THERM_HET = 3
-
 TWO_PI = 2.0 * math.pi
 
+# Spawn-key domains, the first entry of every spawn key
+_DOM_HOM = 0  # homodyne events, (angle, batch)
+_DOM_HET = 1  # heterodyne events, (0, batch)
+_DOM_THERM_HOM = 2  # homodyne shuffling
+_DOM_THERM_HET = 3  # heterodyne rotations
+_DOM_OFFSET = 5  # simulate's random protocol offset
+_DOM_REF_HOM = 10  # benchmark reference seeds
+_DOM_REF_HET = 11
+_DOM_UNIT_HOM = 20  # benchmark cells, (i_n, i_m) homodyne and i_n heterodyne
+_DOM_UNIT_HET = 21
+_DOM_MAP_CELL = 30  # Monte Carlo gamma-map cell seeds, (i, j)
+_DOM_CROSSOVER = 40  # crossover probe seeds, (step,)
 
-def _rng(seed: int, domain: int, index: int, batch: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(domain, index, batch))
-    return np.random.Generator(np.random.PCG64(ss))
+
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _child_seed(seed: int, *key: int) -> int:
+    """Root seed of a sub-run, drawn from the stream at key."""
+    return int(_rng(seed, *key).integers(0, 2**63))
 
 
 def _check_seed(seed: int) -> int:

@@ -18,8 +18,8 @@ from gauss_tomo import (
     to_homodyne_cov,
     wigner_cov,
 )
-from gauss_tomo import benchmark
-from gauss_tomo.benchmark import build_reference
+from gauss_tomo import benchmark, cli
+from gauss_tomo.dataio import read_dataset
 from gauss_tomo.errors import ConfigError
 
 VAC = StateSpec(1.0, 1.0)
@@ -160,16 +160,36 @@ class TestRunCell:
 
 class TestBuildReference:
     def test_exact_reference_is_truth(self):
-        g = build_reference(STATE := StateSpec(3.0, 2.0, 0.4), DET1, "hom", 0, 1, exact=True)
-        assert g == wigner_cov(STATE)
+        hom, het = benchmark._references(small_cfg(state=(STATE := StateSpec(3.0, 2.0, 0.4))))
+        assert hom == het == wigner_cov(STATE)
 
     def test_estimated_references_converge(self):
         state = StateSpec(2.0, 3.0, 0.9)
         truth = wigner_cov(state)
-        hom = build_reference(state, DET1, "hom", 500_000, 2)
-        het = build_reference(state, DET1, "het", 500_000, 3)
+        cfg = small_cfg(state=state, exact_truth=False, reference_size=500_000, seed=2)
+        hom, het = benchmark._references(cfg)
         assert hs_distance(hom, truth) < 5e-3
         assert hs_distance(het, truth) < 5e-3
+
+
+def test_random_streams_are_pinned(tmp_path):
+    # Exact values recorded with numpy 2.4.6.  A refactor must move no
+    # random stream: references, benchmark cells, Monte Carlo map cells
+    # and simulate's random protocol offset each have their own.
+    cfg = small_cfg(sample_sizes=(600,), angle_counts=(5,), repetitions=30,
+                    exact_truth=False, reference_size=60_000)
+    rep = run_benchmark(cfg)
+    assert rep.reference == {
+        "hom": [1.0060304758772234, 0.008472911919710557, 1.0161002661723382],
+        "het": [0.9907695626713535, 0.006443796960285235, 0.9983184541369463],
+    }
+    assert rep.gamma == {(600, 5): (1.3262061261324436, 0.2117962106095123)}
+    rows = gamma_map([1.5], [2.0], DET1, n_events=600, angle_count=5, repetitions=30, seed=3)
+    assert rows == [{"mu": 1.5, "lambda": 2.0, "gamma": 0.7661430567472113}]
+    out = tmp_path / "h.csv"
+    argv = ["simulate", "--angles", "5", "--samples", "10", "--seed", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert read_dataset(out).meta["offset"] == 0.21068405962406306
 
 
 class TestExpectedErrors:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,24 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "source,value",
+        [("flag", "inf"), ("flag", "-inf"), ("ini", "inf"), ("ini", "-inf")],
+        ids=["flag-inf", "flag-minus-inf", "ini-inf", "ini-minus-inf"],
+    )
+    def test_infinite_orientation_is_config_error(self, tmp_path, capsys, source, value):
+        argv = ["simulate", "--out", str(tmp_path / "d.csv")]
+        if source == "flag":
+            argv.append(f"--orientation={value}")
+        else:
+            ini = tmp_path / "s.ini"
+            ini.write_text(f"[state]\norientation = {value}\n")
+            argv += ["--config", str(ini)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: ConfigError: orientation must be finite, got {value}\n"
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestEstimate:
     def setup_dataset(self, tmp_path, capsys, scheme="hom"):
@@ -144,6 +163,17 @@ class TestEstimate:
         assert code == 2
         assert err.startswith("error: ConfigError:")
         assert err.count("\n") == 1
+
+    def test_seed_from_shared_config_file_is_ignored(self, tmp_path, capsys):
+        # estimate draws nothing, so it has no --seed; a config file shared
+        # with simulate may still hold [run] seed
+        data = self.setup_dataset(tmp_path, capsys)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nseed = 1\n")
+        _, plain, _ = run(capsys, "estimate", str(data))
+        code, stdout, err = run(capsys, "estimate", str(data), "--config", str(ini))
+        assert (code, err) == (0, "")
+        assert stdout == plain
 
     def test_underdetermined_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -507,6 +537,35 @@ class TestWorkers:
         for suffix in (".json", ".csv"):
             a = (tmp_path / f"a{suffix}").read_bytes()
             assert a == (tmp_path / f"b{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "d.csv", "--seed", "1"], ["gaussianity", "d.csv", "--seed", "1"],
+     ["crossover", "--out", "x"]],
+    ids=["estimate-seed", "gaussianity-seed", "crossover-out"],
+)
+def test_flag_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,tail",
+    [(["gamma-map", "--analytic", "--grid", "1x1", "--mu-range", "1e-300:1e-300"],
+      "1e-300,1.0,nan\n"),
+     (["benchmark", "--mu", "1e-200", "--exact-truth", "--samples", "1500", "--angles", "5",
+       "--reps", "30"], "gamma=nan (stderr nan, analytic nan)\n")],
+    ids=["gamma-map-analytic", "benchmark"],
+)
+def test_underflowing_state_gives_nan_without_warnings(capsys, argv, tail):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert stdout.endswith(tail)
 
 
 def test_unknown_subcommand_exits_2(capsys):
