@@ -68,7 +68,7 @@ def loglik_rows(a, v, n, c2, s2):
 def wls_fit_rows(v, n, c2, s2):
     # Weighted least squares with Var(v) = 2*sigma^4/n approximated by 2*v^2/n.
     ok = np.all(v > 0.0, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x0, x1, x2, solved = _normal_equations(n / (2.0 * v * v), v, c2, s2)
     ok &= solved
     a = np.where(ok[:, None], np.stack([x0, x1, x2], axis=-1), 0.0)
@@ -107,7 +107,7 @@ def ml_fit_rows(v, n, c2, s2, max_iter, tol):
             break
         va, na, ca, sa, aa, la = v[idx], n[idx], c2[idx], s2[idx], a[idx], lik[idx]
         s = aa[:, 0:1] + aa[:, 1:2] * ca + aa[:, 2:3] * sa
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d0, d1, d2, ok = _normal_equations(na / (2.0 * s * s), va - s, ca, sa)
         delta = np.stack([d0, d1, d2], axis=-1)
         step = np.ones(idx.size)

@@ -20,6 +20,12 @@ result it would get alone, and are projected and scored as arrays.
 The references, each Monte Carlo gamma-map cell and each crossover probe
 draw a child seed from the root seed (sampling._child_seed); a map cell
 and a probe are both one-cell exact-truth benchmarks (_mc_gamma).
+
+The analytic side has one homodyne core, _expected_hom_rows: the expected
+error of many cells that share an angle count, evaluated as stacked
+Fisher blocks.  expected_hom_hs_error and gamma_analytic are its one-row
+views, and gamma_map(analytic=True) makes one call for its whole grid;
+each cell gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .core import (
     CovMat,
     DetectionModel,
     StateSpec,
-    marginal_variance,
     to_heterodyne_cov,
     to_homodyne_cov,
     wigner_cov,
@@ -53,6 +58,10 @@ from .sampling import (
 GAMMA_MIN_REPS = 30
 REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
+_BLOCK_CELLS = 16  # cells per stacked Fisher block: 16 x 64 offsets = 1024 3x3 matrices
+_GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
+# errors that turn an analytic gamma or a map cell into NaN
+_NAN_ERRORS = (GaussTomoError, ValueError, OverflowError)
 
 
 def _distinct_mod_pi(m: int) -> int:
@@ -239,8 +248,9 @@ def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
         cov, _ = _fit_het_rows(s, n_events, det)
         ok, ref = np.ones(reps, dtype=bool), ref_het
     d = cov - [ref.g11, ref.g12, ref.g22]
-    # core.hs_distance, row by row
-    dhs = d[:, 0] * d[:, 0] + d[:, 2] * d[:, 2] + 2.0 * d[:, 1] * d[:, 1]
+    with np.errstate(over="ignore"):  # a bright state's distance may be inf
+        # core.hs_distance, row by row
+        dhs = d[:, 0] * d[:, 0] + d[:, 2] * d[:, 2] + 2.0 * d[:, 1] * d[:, 1]
     return (scheme, i_n, i_m), np.where(ok, dhs, math.nan)
 
 
@@ -250,8 +260,9 @@ def _aggregate(values: list) -> CellStats:
     if not ok:
         return CellStats(math.nan, math.nan, 0, failed)
     arr = np.asarray(ok)
-    mean = float(np.mean(arr))
-    stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
+    with np.errstate(invalid="ignore", over="ignore"):  # a bright state's distances overflow
+        mean = float(np.mean(arr))
+        stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
     return CellStats(mean, stderr, arr.size, failed)
 
 
@@ -307,7 +318,7 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     for m in cfg.angle_counts:
         try:
             gamma_an[m] = gamma_analytic(cfg.state, cfg.det, m)
-        except GaussTomoError:
+        except _NAN_ERRORS:
             gamma_an[m] = math.nan
 
     reference = {
@@ -334,6 +345,104 @@ def expected_het_hs_error(state: StateSpec, det: DetectionModel, n_pairs: int) -
 _HS_WEIGHTS = np.array([1.0, 2.0, 1.0])
 
 
+def _hom_offsets(m: int) -> np.ndarray:
+    # the _OFFSET_POINTS protocol offsets the expected homodyne error averages over
+    return (np.arange(_OFFSET_POINTS) + 0.5) * (TWO_PI / m) / _OFFSET_POINTS
+
+
+def _inv_cells(info: np.ndarray) -> tuple:
+    """np.linalg.inv over a (B, P, 3, 3) stack of cells, and a (B,) mask of
+    the cells where LAPACK meets an exact zero pivot (their rows are NaN).
+    Such a pivot comes from entries so small that their det underflows to
+    0, which the det test lets through (mu = 1e150, lambda = 1e-4 at m = 3).
+    inv then raises for the whole stack, so only that case inverts cell
+    by cell."""
+    failed = np.zeros(len(info), dtype=bool)
+    try:
+        return np.linalg.inv(info), failed
+    except np.linalg.LinAlgError:
+        pass
+    inv = np.full_like(info, math.nan)
+    for i, cell in enumerate(info):
+        try:
+            inv[i] = np.linalg.inv(cell)
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return inv, failed
+
+
+def _near_singular(info: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The singularity test |det| < 1e-13 scale^3 of a stack of 3x3 Fisher
+    matrices, with det from np.linalg.det and scale the largest |entry|.
+
+    A closed-form det, a quarter of the cost of np.linalg.det, settles
+    the clear cases.  Where scale lies in [1e-90, 1e90], nothing below
+    overflows or underflows, and both dets lie within 2e-13 scale^3 of
+    the exact one (LU with partial pivoting has growth <= 4 at n = 3).
+    So a closed-form det >= 1e-9 scale^3 means np.linalg.det passes the
+    test as well.  Only the other matrices, every one with a non-finite
+    entry among them, go to np.linalg.det.
+    """
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = np.moveaxis(
+        info.reshape(info.shape[:-2] + (9,)), -1, 0
+    )
+    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
+    check = ~((np.abs(det) >= 1e-9 * scale**3) & (scale >= 1e-90) & (scale <= 1e90))
+    near = np.zeros(scale.shape, dtype=bool)
+    sc = scale[check]
+    near[check] = (sc == 0.0) | (np.abs(np.linalg.det(info[check])) < 1e-13 * sc**3)
+    return near
+
+
+def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> tuple:
+    """Asymptotic E[D_HS] of the homodyne ML estimator for C cells at once.
+
+    g_noisy is a (C, 3) array of noisy homodyne covariances (g11, g12,
+    g22); every cell shares the angle count m, the event budget and the
+    protocol offsets.  Returns (values, singular), both (C,): a cell's
+    value is the mean over offsets of the weighted trace of its inverse
+    Fisher information (see expected_hom_hs_error), and NaN where
+    singular is True.
+
+    The angle grid is built once; cells are stacked _BLOCK_CELLS at a
+    time into (B, P, 3, 3) Fisher blocks with one det test and one inv
+    per block.  Each matrix gets the arithmetic it gets alone and each
+    cell sums its traces as a Python float in offset order, so a cell's
+    value does not depend on the other cells.  Variances that underflow
+    or overflow give NaN or singular cells, without numpy warnings.
+    """
+    g = np.asarray(g_noisy, dtype=float).reshape(-1, 3)
+    values = np.full(len(g), math.nan)
+    singular = np.zeros(len(g), dtype=bool)
+    n_theta = n_events / m
+    th = offsets[:, None] + np.arange(m) * (TWO_PI / m)
+    c = np.cos(th)
+    s = np.sin(th)
+    u = np.stack([c * c, 2.0 * c * s, s * s], axis=-1)
+    for lo in range(0, len(g), _BLOCK_CELLS):
+        g11, g12, g22 = (col[:, None, None] for col in g[lo : lo + _BLOCK_CELLS].T)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
+            w = n_theta / (2.0 * sig2**2)
+            uw = np.empty(w.shape + (3,))  # u * w[..., None], one column at a time
+            for k in range(3):
+                np.multiply(u[..., k], w, out=uw[..., k])
+            info = np.swapaxes(uw, -1, -2) @ u
+            scale = np.abs(info).max(axis=(-2, -1))
+            bad = _near_singular(info, scale).any(axis=-1)
+            keep = np.flatnonzero(~bad)
+            inv, failed = _inv_cells(info[keep])
+            traces = np.sum(_HS_WEIGHTS * np.diagonal(inv, axis1=-2, axis2=-1), axis=-1)
+        bad[keep[failed]] = True
+        singular[lo : lo + len(bad)] = bad
+        for cell, row in zip(keep[~failed] + lo, traces[~failed].tolist()):
+            total = 0.0
+            for t in row:  # in offset order, as a Python float sum
+                total += t
+            values[cell] = total / offsets.size
+    return values, singular
+
+
 def expected_hom_hs_error(
     state: StateSpec,
     det: DetectionModel,
@@ -348,36 +457,19 @@ def expected_hom_hs_error(
     u u^T with u = (cos^2, sin 2theta, sin^2).  E[D_HS] is the weighted
     trace of the inverse.  With offset=None the value is averaged over
     _OFFSET_POINTS protocol offsets, matching the benchmark's random-offset
-    draws.  A state whose variances underflow or overflow gives NaN or
-    SingularMatrix, without numpy warnings.
+    draws.  The one-row view of _expected_hom_rows: a state whose
+    variances underflow or overflow gives NaN or SingularMatrix, without
+    numpy warnings.
     """
     m = int(angle_count)
     if _distinct_mod_pi(m) < 3:
         raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
-    g_noisy = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
-    if offset is None:
-        offsets = (np.arange(_OFFSET_POINTS) + 0.5) * (TWO_PI / m) / _OFFSET_POINTS
-    else:
-        offsets = np.array([float(offset)])
-    n_theta = n_events / m
-    th = offsets[:, None] + np.arange(m) * (TWO_PI / m)
-    sig2 = marginal_variance(g_noisy, th)
-    c = np.cos(th)
-    s = np.sin(th)
-    u = np.stack([c * c, 2.0 * c * s, s * s], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = n_theta / (2.0 * sig2**2)
-        info = np.swapaxes(u * w[..., None], -1, -2) @ u
-        scale = np.abs(info).max(axis=(-2, -1))
-        singular = np.any(scale == 0.0) or np.any(np.abs(np.linalg.det(info)) < 1e-13 * scale**3)
-    if singular:
+    g = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
+    offsets = _hom_offsets(m) if offset is None else np.array([float(offset)])
+    values, singular = _expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, offsets)
+    if singular[0]:
         raise SingularMatrix("Fisher information is singular for this protocol")
-    inv = np.linalg.inv(info)
-    traces = np.sum(_HS_WEIGHTS * np.diagonal(inv, axis1=-2, axis2=-1), axis=-1)
-    total = 0.0
-    for t in traces:  # in offset order, as a Python float sum
-        total += float(t)
-    return total / offsets.size
+    return float(values[0])
 
 
 def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> float:
@@ -387,11 +479,11 @@ def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> f
     homodyne side is averaged over the protocol offset.  For isotropic
     states at eta=1 this reduces to 6 (mu+1)^2 / (20 mu^2): 1.2 at the
     vacuum, crossing 1 near mu = 1.211, tending to 0.3 for bright
-    thermal states.
+    thermal states.  The scalar entry point; gamma_map evaluates many
+    cells with one _expected_hom_rows call (_analytic_map).
     """
-    n_ref = 1_000_000  # cancels in the ratio; kept for numerical scale
-    het = expected_het_hs_error(state, det, n_ref)
-    hom = expected_hom_hs_error(state, det, angle_count, n_ref)
+    het = expected_het_hs_error(state, det, _GAMMA_EVENTS)
+    hom = expected_hom_hs_error(state, det, angle_count, _GAMMA_EVENTS)
     return het / hom
 
 
@@ -410,16 +502,18 @@ def gamma_map(
 
     Returns plot-ready rows {mu, lambda, gamma}; cells whose evaluation
     fails numerically carry gamma = NaN.  A protocol that no cell can
-    use raises ConfigError before any cell runs.  Empirical cells run a
-    one-cell benchmark against the exact covariance (_mc_gamma) with
-    per-cell child seeds.
+    use raises ConfigError before any cell runs.  Analytic maps run in
+    this process, whatever workers says (_analytic_map).  Empirical cells
+    run a one-cell benchmark against the exact covariance (_mc_gamma)
+    with per-cell child seeds, on up to workers processes.
     """
     mu_values = [float(v) for v in mu_values]
     lam_values = [float(v) for v in lam_values]
     _check_angle_count(int(angle_count))
-    if not analytic:
-        _check_split(int(n_events), int(angle_count))
-        _check_gamma_reps(int(repetitions))
+    if analytic:
+        return _analytic_map(mu_values, lam_values, det, int(angle_count))
+    _check_split(int(n_events), int(angle_count))
+    _check_gamma_reps(int(repetitions))
     cells = [
         (i, j, mu, lam)
         for i, mu in enumerate(mu_values)
@@ -432,21 +526,41 @@ def gamma_map(
         angle_count=int(angle_count),
         repetitions=int(repetitions),
         seed=int(seed),
-        analytic=analytic,
     )
-    return _map_cells(runner, cells, 1 if analytic else workers)
+    return _map_cells(runner, cells, workers)
 
 
-def _map_cell(cell, det=None, n_events=0, angle_count=0, repetitions=0, seed=0, analytic=False):
+def _analytic_map(mu_values: list, lam_values: list, det: DetectionModel, m: int) -> list:
+    """gamma_analytic over the grid: the heterodyne side cell by cell, the
+    homodyne side of every cell in one _expected_hom_rows call.  A cell
+    gets NaN where gamma_analytic would raise one of _NAN_ERRORS: an
+    invalid state, an overflowing heterodyne error or a singular Fisher
+    information."""
+    rows, live, het, g_rows = [], [], [], []
+    for mu in mu_values:
+        for lam in lam_values:
+            rows.append({"mu": mu, "lambda": lam, "gamma": math.nan})
+            try:
+                state = StateSpec(mu, lam)
+                het.append(expected_het_hs_error(state, det, _GAMMA_EVENTS))
+            except _NAN_ERRORS:
+                continue
+            g = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
+            g_rows.append((g.g11, g.g12, g.g22))
+            live.append(rows[-1])
+    hom, singular = _expected_hom_rows(g_rows, m, _GAMMA_EVENTS, _hom_offsets(m))
+    for row, het_err, hom_err, bad in zip(live, het, hom.tolist(), singular.tolist()):
+        if not bad:
+            row["gamma"] = het_err / hom_err
+    return rows
+
+
+def _map_cell(cell, det=None, n_events=0, angle_count=0, repetitions=0, seed=0):
     i, j, mu, lam = cell
     try:
-        state = StateSpec(mu, lam)
-        if analytic:
-            value = gamma_analytic(state, det, angle_count)
-        else:
-            cell_seed = _child_seed(seed, _DOM_MAP_CELL, i, j)
-            value = _mc_gamma(state, det, n_events, angle_count, repetitions, cell_seed)
-    except (GaussTomoError, ValueError, OverflowError):
+        cell_seed = _child_seed(seed, _DOM_MAP_CELL, i, j)
+        value = _mc_gamma(StateSpec(mu, lam), det, n_events, angle_count, repetitions, cell_seed)
+    except _NAN_ERRORS:
         value = math.nan
     return {"mu": mu, "lambda": lam, "gamma": value}
 

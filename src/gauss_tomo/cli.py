@@ -478,8 +478,18 @@ _COMMANDS = (
 _INI_KEYS = frozenset(opt.key for _, _, opts, _ in _COMMANDS for opt in opts)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors (an unknown flag, a missing argument
+    or subcommand) raised as ConfigError, so main prints them as one line
+    and exits 2; --help still prints and exits 0.  Subparsers share the
+    class."""
+
+    def error(self, message):
+        raise ConfigError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gauss-tomo",
         description="Simulate and benchmark homodyne vs heterodyne Gaussian-state tomography.",
     )
@@ -506,9 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, _settings(args, args.opts))
     except (ConfigError, InvalidProtocol, UnknownScheme, DataFormatError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

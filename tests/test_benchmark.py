@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gauss_tomo import (
 )
 from gauss_tomo import benchmark, cli
 from gauss_tomo.dataio import read_dataset
-from gauss_tomo.errors import ConfigError
+from gauss_tomo.errors import ConfigError, GaussTomoError
 
 VAC = StateSpec(1.0, 1.0)
 DET1 = DetectionModel(1.0)
@@ -244,6 +245,26 @@ class TestExpectedErrors:
                 got = expected_hom_hs_error(state, det, m, 10_000, offset=0.3)
                 assert got == per_offset(state, det, m, 10_000, [0.3])
 
+    def test_near_singular_matches_lapack_det_test(self):
+        # The closed-form pre-check must give the decision of the plain test
+        # on every matrix: well and badly conditioned, at the threshold,
+        # tiny, huge, zero and non-finite.
+        rng = np.random.default_rng(3)
+        mats = []
+        for ratio in np.geomspace(1e-17, 1.0, 60):
+            for scale in (1e-300, 1e-120, 1e-60, 1.0, 1e60, 1e120, 1e300):
+                q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                mats.append(scale * (q * [1.0, rng.uniform(ratio, 1.0), ratio]) @ q.T)
+        mats += [np.zeros((3, 3)), np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]),
+                 np.eye(3) * 5e-324, np.diag([1.0, 1.0, 0.0])]
+        info = np.array(mats).reshape(-1, 5, 3, 3)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            scale = np.abs(info).max(axis=(-2, -1))
+            want = (scale == 0.0) | (np.abs(np.linalg.det(info)) < 1e-13 * scale**3)
+            got = benchmark._near_singular(info, scale)
+        assert 0 < want.sum() < want.size
+        assert np.array_equal(got, want)
+
     def test_hom_iso_closed_form(self):
         # isotropic states: expected HS error is 20 sigma^4 / n for any m >= 3
         for mu in (1.0, 2.0, 5.0):
@@ -285,6 +306,31 @@ class TestGammaMap:
         assert len(rows) == 4
         cell = {(r["mu"], r["lambda"]): r["gamma"] for r in rows}
         assert cell[(1.0, 1.0)] == pytest.approx(1.2, rel=1e-9)
+
+    def test_analytic_map_matches_per_cell_gamma(self):
+        # The map stacks its cells into Fisher blocks; every cell must equal the
+        # scalar gamma_analytic bit for bit, and be NaN where that call raises.
+        # 37 cells per map: two full 16-cell blocks and one partial block.
+        # mu = 1e150 at lambda 1e-4 or 1e4 has a Fisher stack whose det
+        # underflows and whose inverse meets an exact zero pivot at m = 3.
+        mus = np.append(np.geomspace(1e-300, 1e200, 36), 1e150)
+        dets = (DET1, DetectionModel(0.85, CovMat(0.01, 0.0, 0.01)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for det in dets:
+                for m in (3, 5, 10, 15):
+                    for lam in (1e-5, 1e-4, 1.0, 1e4, 1e5):
+                        rows = gamma_map(mus, [lam], det, angle_count=m, analytic=True)
+                        assert [(r["mu"], r["lambda"]) for r in rows] == [(mu, lam) for mu in mus]
+                        for row in rows:
+                            try:
+                                want = gamma_analytic(StateSpec(row["mu"], lam), det, m)
+                            except (GaussTomoError, ValueError, OverflowError):
+                                want = math.nan
+                            if math.isnan(want):
+                                assert math.isnan(row["gamma"])
+                            else:
+                                assert row["gamma"] == want
 
     def test_empirical_map_needs_30_reps(self):
         with pytest.raises(ConfigError):

@@ -546,10 +546,10 @@ class TestWorkers:
     ids=["estimate-seed", "gaussianity-seed", "crossover-out"],
 )
 def test_flag_the_command_does_not_read_exits_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ConfigError: unrecognized arguments")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -557,8 +557,11 @@ def test_flag_the_command_does_not_read_exits_2(capsys, argv):
     [(["gamma-map", "--analytic", "--grid", "1x1", "--mu-range", "1e-300:1e-300"],
       "1e-300,1.0,nan\n"),
      (["benchmark", "--mu", "1e-200", "--exact-truth", "--samples", "1500", "--angles", "5",
-       "--reps", "30"], "gamma=nan (stderr nan, analytic nan)\n")],
-    ids=["gamma-map-analytic", "benchmark"],
+       "--reps", "30"], "gamma=nan (stderr nan, analytic nan)\n"),
+     # a bright state: the heterodyne error overflows a Python float
+     (["benchmark", "--mu", "1e200", "--exact-truth", "--samples", "1500", "--angles", "5",
+       "--reps", "30"], "dhs_het=inf gamma=nan (stderr nan, analytic nan)\n")],
+    ids=["gamma-map-analytic", "benchmark", "benchmark-bright"],
 )
 def test_underflowing_state_gives_nan_without_warnings(capsys, argv, tail):
     with warnings.catch_warnings():
@@ -569,6 +572,28 @@ def test_underflowing_state_gives_nan_without_warnings(capsys, argv, tail):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["frobnicate"])
-    assert exc_info.value.code == 2
+    code, _, err = run(capsys, "frobnicate")
+    assert code == 2
+    assert err.startswith("error: ConfigError: argument command: invalid choice: 'frobnicate'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["estimate", "d.csv", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+     ([], "the following arguments are required: command"),
+     # a value that starts with '-' reads as a flag
+     (["gamma-map", "--mu-range", "-1:1"], "argument --mu-range: expected one argument"),
+     (["gamma-map", "--grid", "-2x3"], "argument --grid: expected one argument")],
+    ids=["unknown-flag", "missing-subcommand", "dash-range", "dash-grid"],
+)
+def test_usage_error_is_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: ConfigError: {message}\n")
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["gamma-map", "--help"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 0
+        assert "usage: gauss-tomo" in capsys.readouterr().out
