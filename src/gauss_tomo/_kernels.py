@@ -50,6 +50,10 @@ def _solve3(m00, m01, m02, m11, m12, m22, b0, b1, b2):
 def _normal_equations(w, r, c2, s2):
     # Weighted normal equations of the design (1, c2, s2) with weights w
     # and right-hand side r, as the six matrix and three vector row sums.
+    # Each row's weights are first scaled by the power of two that puts
+    # the largest in [0.5, 1): the solution keeps its bits, and the
+    # ~1/v^2 weights of a bright state no longer underflow the determinant.
+    w = np.ldexp(w, -np.frexp(np.max(w, axis=-1, keepdims=True))[1])
     wc, ws = w * c2, w * s2
     m = [np.sum(x, axis=-1) for x in (w, wc, ws, wc * c2, wc * s2, ws * s2)]
     b = [np.sum(w * r * col, axis=-1) for col in (1.0, c2, s2)]

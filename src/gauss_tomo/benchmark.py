@@ -35,19 +35,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    CovMat,
-    DetectionModel,
-    StateSpec,
-    to_heterodyne_cov,
-    to_homodyne_cov,
-    wigner_cov,
-)
+from .core import CovMat, DetectionModel, StateSpec, hs_distance, wigner_cov
 from .errors import ConfigError, GaussTomoError, SingularMatrix
 from .estimation import _estimate_het, _fit_het_rows, _fit_hom_rows, estimate_from_variances
 from .sampling import (
@@ -247,10 +239,8 @@ def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
         s = draw_heterodyne_covs(g_w, det, n_events, reps, rng)
         cov, _ = _fit_het_rows(s, n_events, det)
         ok, ref = np.ones(reps, dtype=bool), ref_het
-    d = cov - [ref.g11, ref.g12, ref.g22]
     with np.errstate(over="ignore"):  # a bright state's distance may be inf
-        # core.hs_distance, row by row
-        dhs = d[:, 0] * d[:, 0] + d[:, 2] * d[:, 2] + 2.0 * d[:, 1] * d[:, 1]
+        dhs = hs_distance(CovMat(*cov.T), ref)
     return (scheme, i_n, i_m), np.where(ok, dhs, math.nan)
 
 
@@ -260,10 +250,13 @@ def _aggregate(values: list) -> CellStats:
     if not ok:
         return CellStats(math.nan, math.nan, 0, failed)
     arr = np.asarray(ok)
+    # the std of arr / 2^k, times 2^k: the same bits, but the squared
+    # deviations of a bright state's distances no longer overflow
+    k = np.frexp(np.max(arr))[1]
     with np.errstate(invalid="ignore", over="ignore"):  # a bright state's distances overflow
         mean = float(np.mean(arr))
-        stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
-    return CellStats(mean, stderr, arr.size, failed)
+        std = np.ldexp(np.std(np.ldexp(arr, -k), ddof=1), k) if arr.size > 1 else math.nan
+    return CellStats(mean, float(std / math.sqrt(arr.size)), arr.size, failed)
 
 
 def _versions() -> dict:
@@ -338,7 +331,7 @@ def expected_het_hs_error(state: StateSpec, det: DetectionModel, n_pairs: int) -
     sums to E[D_HS] = (2/n) (Tr(Sigma)^2 - det(Sigma)).  Exact at every
     n, not just asymptotically.
     """
-    sigma = to_heterodyne_cov(wigner_cov(state), det) + det.g_elec
+    sigma = det.recorded(wigner_cov(state), "het")
     return 2.0 * (sigma.trace**2 - sigma.det) / n_pairs
 
 
@@ -444,29 +437,23 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> t
 
 
 def expected_hom_hs_error(
-    state: StateSpec,
-    det: DetectionModel,
-    angle_count: int,
-    n_events: int,
-    offset: Optional[float] = None,
+    state: StateSpec, det: DetectionModel, angle_count: int, n_events: int
 ) -> float:
     """Asymptotic E[D_HS] of the homodyne ML estimator.
 
     Inverse Fisher information of (g11, g12, g22) under the per-angle
     variance statistics: each angle contributes (n_theta / (2 sigma_theta^4))
     u u^T with u = (cos^2, sin 2theta, sin^2).  E[D_HS] is the weighted
-    trace of the inverse.  With offset=None the value is averaged over
-    _OFFSET_POINTS protocol offsets, matching the benchmark's random-offset
-    draws.  The one-row view of _expected_hom_rows: a state whose
-    variances underflow or overflow gives NaN or SingularMatrix, without
-    numpy warnings.
+    trace of the inverse, averaged over _OFFSET_POINTS protocol offsets to
+    match the benchmark's random-offset draws.  The one-row view of
+    _expected_hom_rows: a state whose variances underflow or overflow
+    gives NaN or SingularMatrix, without numpy warnings.
     """
     m = int(angle_count)
     if _distinct_mod_pi(m) < 3:
         raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
-    g = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
-    offsets = _hom_offsets(m) if offset is None else np.array([float(offset)])
-    values, singular = _expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, offsets)
+    g = det.recorded(wigner_cov(state), "hom")
+    values, singular = _expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, _hom_offsets(m))
     if singular[0]:
         raise SingularMatrix("Fisher information is singular for this protocol")
     return float(values[0])
@@ -545,7 +532,7 @@ def _analytic_map(mu_values: list, lam_values: list, det: DetectionModel, m: int
                 het.append(expected_het_hs_error(state, det, _GAMMA_EVENTS))
             except _NAN_ERRORS:
                 continue
-            g = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
+            g = det.recorded(wigner_cov(state), "hom")
             g_rows.append((g.g11, g.g12, g.g22))
             live.append(rows[-1])
     hom, singular = _expected_hom_rows(g_rows, m, _GAMMA_EVENTS, _hom_offsets(m))

@@ -322,6 +322,12 @@ def _cmd_simulate(args, s: dict) -> int:
     return 0
 
 
+def _print_report(out, config: dict, body: dict) -> None:
+    # print the report as JSON, writing it to out first when out is set
+    payload = write_report_json(out, config, body) if out else {"config": config, **body}
+    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+
+
 def _cmd_estimate(args, s: dict) -> int:
     dataset = read_dataset(args.dataset)
     det = _detection(s, dataset.meta)
@@ -339,12 +345,7 @@ def _cmd_estimate(args, s: dict) -> int:
         "seed": dataset.meta.get("seed"),
         "method": method or ("ml" if result.scheme == "hom" else "sample-cov"),
     }
-    body = {"kind": "estimate", **record}
-    if s["out"]:
-        payload = write_report_json(s["out"], config, body)
-    else:
-        payload = {"config": config, **body}
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+    _print_report(s["out"], config, {"kind": "estimate", **record})
     return 0
 
 
@@ -435,12 +436,7 @@ def _cmd_gaussianity(args, s: dict) -> int:
         "bins": s["bins"],
         "seed": dataset.meta.get("seed"),
     }
-    body = {"kind": "gaussianity", "reports": reports}
-    if s["out"]:
-        payload = write_report_json(s["out"], config, body)
-    else:
-        payload = {"config": config, **body}
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+    _print_report(s["out"], config, {"kind": "gaussianity", "reports": reports})
     return 0
 
 

@@ -3,8 +3,9 @@
 Everything is expressed in shot-noise units: the vacuum state has unit
 variance in every quadrature, so its covariance matrix is the identity.
 A state is a zero-mean Gaussian fully described by a 2x2 symmetric
-covariance matrix; detection maps send the true (Wigner) covariance to
-what each measurement scheme actually sees.
+covariance matrix.  DetectionModel holds the one detection model: the
+map from the true (Wigner) covariance to what each scheme records
+(recorded) and its inverse on rows of estimates (wigner_rows).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .errors import SingularMatrix
 # The quantum uncertainty floor is det = 1, so this is unreachably low
 # for any physical state and only trips on degenerate inputs.
 SINGULAR_DET_TOL = 1e-12
+# Vacuum units each scheme measures: heterodyne splits the mode and pays one more.
+_SHOT = {"hom": 1.0, "het": 2.0}
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,23 @@ class DetectionModel:
         g = self.g_elec
         return {"eta": self.eta, "g_elec": [g.g11, g.g12, g.g22]}
 
+    def excess(self, scheme: str) -> float:
+        """Detection noise, in units of I, that scheme "hom" or "het" adds
+        to G_W before the electronic noise: (1-eta)/eta or (2-eta)/eta."""
+        return (_SHOT[scheme] - self.eta) / self.eta
+
+    def recorded(self, g_w: CovMat, scheme: str) -> CovMat:
+        """Covariance the scheme records: G_W + excess(scheme) I + g_elec."""
+        return g_w.add_identity(self.excess(scheme)) + self.g_elec
+
+    def wigner_rows(self, rows: np.ndarray, scheme: str) -> np.ndarray:
+        """The inverse of recorded on rows (g11, g12, g22), shape (R, 3)."""
+        c = -self.excess(scheme)
+        e = self.g_elec
+        return np.stack(
+            [rows[:, 0] + c - e.g11, rows[:, 1] - e.g12, rows[:, 2] + c - e.g22], axis=-1
+        )
+
 
 def wigner_cov(spec: StateSpec) -> CovMat:
     """Wigner covariance R(phi) diag(mu/lam, mu*lam) R(phi)^T."""
@@ -138,7 +158,7 @@ def wigner_cov(spec: StateSpec) -> CovMat:
 
 def to_homodyne_cov(g_w: CovMat, det: DetectionModel) -> CovMat:
     """Covariance seen by homodyne detection: G_W + ((1-eta)/eta) * I."""
-    return g_w.add_identity((1.0 - det.eta) / det.eta)
+    return g_w.add_identity(det.excess("hom"))
 
 
 def to_heterodyne_cov(g_w: CovMat, det: DetectionModel) -> CovMat:
@@ -148,7 +168,7 @@ def to_heterodyne_cov(g_w: CovMat, det: DetectionModel) -> CovMat:
     unit of vacuum noise from splitting the mode to measure both
     quadratures at once, scaled by the efficiency.
     """
-    return g_w.add_identity((2.0 - det.eta) / det.eta)
+    return g_w.add_identity(det.excess("het"))
 
 
 def marginal_variance(g: CovMat, theta):

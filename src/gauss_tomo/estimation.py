@@ -5,8 +5,9 @@ with the sinusoidal model sigma^2(theta) = a0 + a1 cos(2 theta) +
 a2 sin(2 theta), either by exact maximum likelihood (Fisher scoring on
 the scaled chi-square likelihood of the variances) or by weighted least
 squares.  Heterodyne records use the known-zero-mean sample covariance,
-which is already the ML estimator.  Both paths then subtract detection
-and electronic noise and project the result to the PSD cone.
+which is already the ML estimator.  Both paths then remove the detection
+and electronic noise with DetectionModel.wigner_rows, the inverse of the
+map the samplers draw through, and project the result to the PSD cone.
 
 Each scheme has one core that works on rows, many records at once
 (`_fit_hom_rows`, `_fit_het_rows`); the single-record estimators are
@@ -142,14 +143,6 @@ def _angle_variances(d: HomodyneDataset) -> list:
     return [float(np.mean(x * x)) if x.size else 0.0 for x in d.samples]
 
 
-def _subtract_noise(g: np.ndarray, det: DetectionModel, shot: float) -> np.ndarray:
-    # rows (g11, g12, g22) of a measured covariance minus the detection
-    # noise ((shot - eta)/eta) I + g_elec: shot = 1 for homodyne, 2 for heterodyne
-    c = -(shot - det.eta) / det.eta
-    e = det.g_elec
-    return np.stack([g[:, 0] + c - e.g11, g[:, 1] - e.g12, g[:, 2] + c - e.g22], axis=-1)
-
-
 # Per-row failure causes of _fit_hom_rows, in the order they are tested.
 FITTED, FEW_ANGLES, FEW_SAMPLES, ZERO_VARIANCE, SINGULAR_WLS = range(5)
 
@@ -200,7 +193,7 @@ def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -
         np.zeros(rows, dtype=np.int64),
         np.full(rows, np.nan),
     )
-    out.cov[fit], out.clipped[fit] = _psd_project_rows(_subtract_noise(g, det, 1.0))
+    out.cov[fit], out.clipped[fit] = _psd_project_rows(det.wigner_rows(g, "hom"))
     out.converged[fit], out.iters[fit], out.loglik[fit] = converged, iters, lik
     return out
 
@@ -263,7 +256,7 @@ def _fit_het_rows(s, n: int, det: DetectionModel) -> tuple[np.ndarray, np.ndarra
     if s.ndim != 3 or s.shape[1:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {s.shape[1:]}")
     g = np.stack([s[:, 0, 0], 0.5 * (s[:, 0, 1] + s[:, 1, 0]), s[:, 1, 1]], axis=-1)
-    return _psd_project_rows(_subtract_noise(g, det, 2.0))
+    return _psd_project_rows(det.wigner_rows(g, "het"))
 
 
 def _estimate_het(s, n: int, det: DetectionModel, meta: dict) -> EstimateResult:

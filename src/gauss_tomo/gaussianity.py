@@ -13,7 +13,9 @@ D * (sqrt(n) - 0.01 + 0.85/sqrt(n)); the uncorrected asymptotic value is
 still reported alongside for reference.  The table (8000 replicas of
 2000 normals, fixed seed) is built on first use in blocks of
 _NULL_BLOCK_ROWS rows drawn in order from one generator, so it equals a
-single full draw while holding only one block in memory.
+single full draw while holding only one block in memory.  The battery
+and the table share one KS distance, _ks_d, and one size correction,
+_stephens_t.
 """
 
 from __future__ import annotations
@@ -66,13 +68,13 @@ class GaussianityReport:
         }
 
 
-def _ks_statistic_sorted(xs: np.ndarray, mean: float, sd: float) -> float:
-    n = xs.size
+def _ks_d(xs: np.ndarray, mean, sd) -> np.ndarray:
+    """KS distance of each sorted row of xs (its last axis) from the normal
+    CDF of the given mean and sd, which broadcast against xs."""
+    n = xs.shape[-1]
     f = ndtr((xs - mean) / sd)
     i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    return np.maximum(np.max(i / n - f, axis=-1), np.max(f - (i - 1) / n, axis=-1))
 
 
 def _stephens_t(d: float, n: int) -> float:
@@ -88,19 +90,15 @@ def _ks_null_table() -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_NULL_SEED)))
         # row blocks drawn in order from one generator are the rows of a
         # single (_NULL_REPLICAS, _NULL_SIZE) draw, so the table does not
-        # depend on the block size
-        upper = np.arange(1, _NULL_SIZE + 1) / _NULL_SIZE
-        lower = np.arange(_NULL_SIZE) / _NULL_SIZE
+        # depend on the block size; each row's mean and sd are taken
+        # before the sort, which would change their summation order
         d = np.empty(_NULL_REPLICAS)
         for start in range(0, _NULL_REPLICAS, _NULL_BLOCK_ROWS):
             z = rng.standard_normal((min(_NULL_BLOCK_ROWS, _NULL_REPLICAS - start), _NULL_SIZE))
-            z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, keepdims=True)
+            mean, sd = z.mean(axis=1, keepdims=True), z.std(axis=1, keepdims=True)
             z.sort(axis=1)
-            f = ndtr(z)
-            d_plus = np.max(upper - f, axis=1)
-            d_minus = np.max(f - lower, axis=1)
-            d[start : start + len(z)] = np.maximum(d_plus, d_minus)
-        t = d * (math.sqrt(_NULL_SIZE) - 0.01 + 0.85 / math.sqrt(_NULL_SIZE))
+            d[start : start + len(z)] = _ks_d(z, mean, sd)
+        t = _stephens_t(d, _NULL_SIZE)
         t.sort()
         _null_table = t
     return _null_table
@@ -191,7 +189,7 @@ def test_gaussianity(samples, bins: int = DEFAULT_BINS) -> GaussianityReport:
         raise DegenerateVariance(f"sample standard deviation {sd} is degenerate")
 
     xs = np.sort(x)
-    ks_stat = _ks_statistic_sorted(xs, mean, sd)
+    ks_stat = float(_ks_d(xs, mean, sd))
     ks_p = _ks_pvalue_calibrated(ks_stat, x.size)
     ks_p_asym = float(kolmogorov(math.sqrt(x.size) * ks_stat))
 

@@ -7,8 +7,10 @@ probe) takes a root seed of its own from _child_seed.  The domains, all
 named in one table below, keep the streams disjoint.  The event samplers
 key their streams by (domain, index, batch): the batch axis cuts a
 record into SAMPLING_BATCH-event chunks with streams of their own, so
-the first events of a record do not depend on its length.  The scheme
-is tagged in dataset metadata as "rng".
+the first events of a record do not depend on its length.  One helper,
+_normals, draws every such chunked stream.  The scheme is tagged in
+dataset metadata as "rng".  Both event samplers and the exact-law draws
+below take their covariances from DetectionModel (core).
 
 Next to the event samplers sit exact-law draws of the statistics a
 record reduces to (per-angle variances, the heterodyne sample
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CovMat, DetectionModel, marginal_variance, to_heterodyne_cov, to_homodyne_cov
+from .core import CovMat, DetectionModel, marginal_variance, to_homodyne_cov
 from .errors import InvalidProtocol, RaggedDataset
 
 RNG_TAG = "numpy-pcg64-ss1"
@@ -60,14 +62,14 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _batch_sizes(n: int):
-    done = 0
-    batch = 0
-    while done < n:
-        count = min(SAMPLING_BATCH, n - done)
-        yield batch, count
-        done += count
-        batch += 1
+def _normals(seed: int, key: tuple, n: int, width: tuple = ()) -> np.ndarray:
+    """n standard normals (rows of shape width) from the streams (*key, batch),
+    one per SAMPLING_BATCH-row chunk; a single chunk is returned uncopied."""
+    chunks = [
+        _rng(seed, *key, b).standard_normal((min(SAMPLING_BATCH, n - lo),) + width)
+        for b, lo in enumerate(range(0, n, SAMPLING_BATCH))
+    ]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,7 @@ def _base_meta(scheme: str, g_w: CovMat, det: DetectionModel, seed: int) -> dict
 
 
 def _homodyne_sigmas(g_w: CovMat, det: DetectionModel, angles: np.ndarray) -> np.ndarray:
+    # two marginals summed, not the marginal of det.recorded, whose bits differ when g_elec != 0
     g_hom = to_homodyne_cov(g_w, det)
     return np.sqrt(marginal_variance(g_hom, angles) + marginal_variance(det.g_elec, angles))
 
@@ -200,12 +203,7 @@ def sample_homodyne(
     sigmas = _homodyne_sigmas(g_w, det, angles)
     samples = []
     for i, sd in enumerate(sigmas):
-        chunks = [
-            _rng(seed, _DOM_HOM, i, b).standard_normal(count)
-            for b, count in _batch_sizes(n_per_angle)
-        ]
-        x = sd * (chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
-        samples.append(_freeze(x))
+        samples.append(_freeze(sd * _normals(seed, (_DOM_HOM, i), n_per_angle)))
     meta = _base_meta("hom", g_w, det, seed)
     meta["angle_count"] = protocol.count
     meta["offset"] = protocol.offset
@@ -231,7 +229,7 @@ def draw_homodyne_variances(
 
 
 def _heterodyne_chol(g_w: CovMat, det: DetectionModel) -> np.ndarray:
-    target = to_heterodyne_cov(g_w, det) + det.g_elec
+    target = det.recorded(g_w, "het")
     # strictly PD: the heterodyne map adds at least one unit of vacuum noise
     return np.linalg.cholesky(target.matrix)
 
@@ -245,7 +243,7 @@ def sample_heterodyne(
     """Draw n_pairs (x, p) pairs from the heterodyne covariance.
 
     Pairs follow the zero-mean bivariate Gaussian with covariance
-    to_heterodyne_cov(g_w, det) + g_elec, generated by mapping standard
+    det.recorded(g_w, "het"), generated by mapping standard
     normals through the Cholesky factor.  Deterministic given seed.
     """
     seed = _check_seed(seed)
@@ -254,13 +252,7 @@ def sample_heterodyne(
     n_pairs = int(n_pairs)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    chol = _heterodyne_chol(g_w, det)
-    chunks = [
-        _rng(seed, _DOM_HET, 0, b).standard_normal((count, 2))
-        for b, count in _batch_sizes(n_pairs)
-    ]
-    z = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    pairs = z @ chol.T
+    pairs = _normals(seed, (_DOM_HET, 0), n_pairs, (2,)) @ _heterodyne_chol(g_w, det).T
     meta = _base_meta("het", g_w, det, seed)
     meta["n_pairs"] = n_pairs
     return HeterodyneDataset(_freeze(pairs), meta)

@@ -27,6 +27,13 @@ VAC = StateSpec(1.0, 1.0)
 DET1 = DetectionModel(1.0)
 
 
+def hom_error_at(state, det, m, n_events, offset):
+    # the homodyne expected error at one protocol offset, from the stacked core
+    g = det.recorded(wigner_cov(state), "hom")
+    values, _ = benchmark._expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, np.array([offset]))
+    return float(values[0])
+
+
 def small_cfg(**over):
     base = dict(
         state=VAC,
@@ -137,6 +144,24 @@ class TestRunBenchmark:
         assert abs(g0 - g1) < 3.0 * math.hypot(s0, s1)
 
 
+class TestBrightStates:
+    def test_bright_homodyne_fits_match_a_dimmer_state(self):
+        # homodyne weights ~ 1/v^2 underflowed the normal equations at
+        # mu = 1e80; with per-row weight scaling every fit succeeds and
+        # gamma is the one of mu = 1e40
+        def gamma(mu):
+            cfg = small_cfg(state=StateSpec(mu, 1.0), sample_sizes=(1500,), angle_counts=(5,),
+                            repetitions=30, seed=0)
+            report = run_benchmark(cfg)
+            return report.hom[(1500, 5)].failed, report.gamma[(1500, 5)]
+
+        failed, (value, stderr) = gamma(1e80)
+        _, (dim_value, _) = gamma(1e40)
+        assert failed == 0
+        assert math.isfinite(stderr) and stderr > 0.0
+        assert value == pytest.approx(dim_value, rel=1e-4)
+
+
 class TestRunCell:
     def test_zero_variance_row_fails_alone(self, monkeypatch):
         cfg = small_cfg(sample_sizes=(600,), angle_counts=(5,), repetitions=40)
@@ -242,7 +267,7 @@ class TestExpectedErrors:
                 offsets = (np.arange(64) + 0.5) * (2.0 * np.pi / m) / 64
                 got = expected_hom_hs_error(state, det, m, 10_000)
                 assert got == per_offset(state, det, m, 10_000, offsets)
-                got = expected_hom_hs_error(state, det, m, 10_000, offset=0.3)
+                got = hom_error_at(state, det, m, 10_000, 0.3)
                 assert got == per_offset(state, det, m, 10_000, [0.3])
 
     def test_near_singular_matches_lapack_det_test(self):
@@ -277,7 +302,7 @@ class TestExpectedErrors:
     def test_hom_offset_average_close_to_single_offset(self):
         state = StateSpec(6.44, 11.61)
         avg = expected_hom_hs_error(state, DET1, 10, 10_000)
-        at0 = expected_hom_hs_error(state, DET1, 10, 10_000, offset=0.0)
+        at0 = hom_error_at(state, DET1, 10, 10_000, 0.0)
         assert avg == pytest.approx(at0, rel=0.2)
 
 

@@ -120,6 +120,30 @@ class TestDetectionModel:
                 assert diff.g22 == pytest.approx(1.0 / eta, rel=1e-14)
                 assert diff.g12 == 0.0
 
+    def test_wigner_rows_inverts_recorded(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            det = DetectionModel(rng.uniform(0.05, 1.0), random_psd(rng, 0.3))
+            g = wigner_cov(StateSpec(rng.uniform(0.1, 50.0), rng.uniform(1.0, 30.0),
+                                     rng.uniform(0.0, math.pi)))
+            for scheme in ("hom", "het"):
+                r = det.recorded(g, scheme)
+                back = det.wigner_rows(np.array([[r.g11, r.g12, r.g22]]), scheme)[0]
+                want = np.array([g.g11, g.g12, g.g22])
+                assert np.abs(back - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_recorded_schemes_differ_by_one_vacuum_unit_over_eta(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            det = DetectionModel(rng.uniform(0.05, 1.0), random_psd(rng, 0.3))
+            g = random_psd(rng)
+            diff = det.recorded(g, "het") - det.recorded(g, "hom")
+            assert diff.g11 == pytest.approx(1.0 / det.eta, rel=1e-14)
+            assert diff.g22 == pytest.approx(1.0 / det.eta, rel=1e-14)
+            assert diff.g12 == 0.0
+            assert det.recorded(g, "hom") == to_homodyne_cov(g, det) + det.g_elec
+            assert det.recorded(g, "het") == to_heterodyne_cov(g, det) + det.g_elec
+
     def test_perfect_detection_identity(self):
         g = CovMat(2.0, 0.4, 1.0)
         det = DetectionModel(1.0)

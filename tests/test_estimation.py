@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gauss_tomo import (
     AngleProtocol,
@@ -24,7 +26,7 @@ from gauss_tomo import (
     wigner_cov,
 )
 from gauss_tomo.estimation import estimate_from_variances
-from gauss_tomo.sampling import HeterodyneDataset, HomodyneDataset
+from gauss_tomo.sampling import HeterodyneDataset, HomodyneDataset, draw_homodyne_variances
 
 STATE = StateSpec(4.46, 6.49, 1.1)
 DET = DetectionModel(0.85, CovMat(0.03, 0.0, 0.05))
@@ -147,6 +149,37 @@ class TestHomodyneEstimators:
         r_stream = estimate_from_variances(np.array(d.angles), v, counts, DET, method="ml")
         r_full = estimate_homodyne_ml(d, DET)
         assert r_stream.g_w_hat == r_full.g_w_hat
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    mu=st.floats(0.2, 20.0),
+    lam=st.floats(1.0, 20.0),
+    orientation=st.floats(0.0, 3.1),
+    m=st.sampled_from([3, 5, 6, 7, 9, 10, 15]),
+    n=st.integers(2, 500),
+    seed=st.integers(0, 2**32),
+    k=st.integers(-400, 400),
+)
+def test_scaled_variances_scale_the_estimate(mu, lam, orientation, m, n, seed, k):
+    # Variances times 2^k: WLS gives exactly 2^k times the estimate, at any
+    # brightness.  ML converges at any brightness too, but its stopping test
+    # reads the likelihood, whose log term does not scale, so it stops
+    # within 1e-3 (1.4e-4 is the largest gap seen, at n = 2).
+    det = DetectionModel()
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * np.pi / m) + np.arange(m) * (2.0 * np.pi / m)
+    v = draw_homodyne_variances(wigner_cov(StateSpec(mu, lam, orientation)), det, angles, n, rng)
+    counts = np.full(m, n, dtype=float)
+    for method, rel in (("wls", 0.0), ("ml", 1e-3)):
+        base = estimate_from_variances(angles, v, counts, det, method)
+        assume(not base.diagnostics.psd_clipped)
+        scaled = estimate_from_variances(angles, np.ldexp(v, k), counts, det, method)
+        assert scaled.diagnostics.converged
+        g, h = base.g_w_hat, scaled.g_w_hat
+        want = np.ldexp([g.g11, g.g12, g.g22], k)
+        got = np.array([h.g11, h.g12, h.g22])
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
 class TestHeterodyneEstimator:
