@@ -47,12 +47,14 @@ def _solve3(m00, m01, m02, m11, m12, m22, b0, b1, b2):
     return np.where(ok, x0, 0.0), np.where(ok, x1, 0.0), np.where(ok, x2, 0.0), ok
 
 
-def _normal_equations(w, r, c2, s2):
-    # Weighted normal equations of the design (1, c2, s2) with weights w
-    # and right-hand side r, as the six matrix and three vector row sums.
-    # Each row's weights are first scaled by the power of two that puts
-    # the largest in [0.5, 1): the solution keeps its bits, and the
-    # ~1/v^2 weights of a bright state no longer underflow the determinant.
+def _normal_equations(n, v, r, c2, s2):
+    # Normal equations of the design (1, c2, s2), weights n / (2 v^2) and
+    # right-hand side r, as the six matrix and three vector row sums.  Each
+    # row's v, then its weights, are scaled by the power of two of their
+    # largest entry: the solution keeps its bits, v * v cannot overflow and
+    # the determinant cannot underflow.
+    v = np.ldexp(v, -np.frexp(np.max(v, axis=-1, keepdims=True))[1])
+    w = n / (2.0 * v * v)
     w = np.ldexp(w, -np.frexp(np.max(w, axis=-1, keepdims=True))[1])
     wc, ws = w * c2, w * s2
     m = [np.sum(x, axis=-1) for x in (w, wc, ws, wc * c2, wc * s2, ws * s2)]
@@ -73,7 +75,7 @@ def wls_fit_rows(v, n, c2, s2):
     # Weighted least squares with Var(v) = 2*sigma^4/n approximated by 2*v^2/n.
     ok = np.all(v > 0.0, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x0, x1, x2, solved = _normal_equations(n / (2.0 * v * v), v, c2, s2)
+        x0, x1, x2, solved = _normal_equations(n, v, v, c2, s2)
     ok &= solved
     a = np.where(ok[:, None], np.stack([x0, x1, x2], axis=-1), 0.0)
     return a, ok
@@ -112,7 +114,7 @@ def ml_fit_rows(v, n, c2, s2, max_iter, tol):
         va, na, ca, sa, aa, la = v[idx], n[idx], c2[idx], s2[idx], a[idx], lik[idx]
         s = aa[:, 0:1] + aa[:, 1:2] * ca + aa[:, 2:3] * sa
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d0, d1, d2, ok = _normal_equations(na / (2.0 * s * s), va - s, ca, sa)
+            d0, d1, d2, ok = _normal_equations(na, s, va - s, ca, sa)
         delta = np.stack([d0, d1, d2], axis=-1)
         step = np.ones(idx.size)
         new_lik = np.full(idx.size, -np.inf)

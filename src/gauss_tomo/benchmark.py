@@ -17,9 +17,9 @@ worker count.  A cell is then fitted as one batch: its R repetitions are
 the rows of one call to the row estimator cores, which give each row the
 result it would get alone, and are projected and scored as arrays.
 
-The references, each Monte Carlo gamma-map cell and each crossover probe
-draw a child seed from the root seed (sampling._child_seed); a map cell
-and a probe are both one-cell exact-truth benchmarks (_mc_gamma).
+The references, each Monte Carlo gamma-map point and each crossover probe
+draw a child seed from the root seed (sampling._child_seed); a point and a
+probe are the two cells of a one-cell exact-truth benchmark (_probe_cells).
 
 The analytic side has one homodyne core, _expected_hom_rows: the expected
 error of many cells that share an angle count, evaluated as stacked
@@ -34,7 +34,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,7 +51,7 @@ REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
 _BLOCK_CELLS = 16  # cells per stacked Fisher block: 16 x 64 offsets = 1024 3x3 matrices
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
-# errors that turn an analytic gamma or a map cell into NaN
+# errors that turn an analytic gamma or a map point into NaN
 _NAN_ERRORS = (GaussTomoError, ValueError, OverflowError)
 
 
@@ -217,31 +216,30 @@ def _references(cfg: BenchmarkConfig) -> tuple:
     return hom, het
 
 
-def _run_cell(task, cfg: BenchmarkConfig, ref_hom: CovMat, ref_het: CovMat):
-    """All repetitions of one (N, m) homodyne or N heterodyne cell.
+def _run_cell(cell) -> np.ndarray:
+    """All repetitions of a cell (g_w, det, n, m, reps, seed, key, ref):
+    (n, m) homodyne, or n heterodyne when m = 0.
 
-    Draws the cell's statistics, then fits and scores all repetitions as
-    one batch of rows.  Returns (key, dhs) with one distance per
-    repetition, NaN where the fit failed or did not converge; failures
-    are excluded from averages but always counted.
+    Draws from _rng(seed, *key), fits and scores all repetitions against
+    ref as one batch of rows.  Returns one distance per repetition, NaN
+    where the fit failed or did not converge.  A bright state's inf and
+    NaN values end there or in the distance, without numpy warnings.
     """
-    scheme, i_n, i_m, n_events, m = task
-    g_w, det, reps = wigner_cov(cfg.state), cfg.det, cfg.repetitions
-    if scheme == "hom":
-        rng = _rng(int(cfg.seed), _DOM_UNIT_HOM, i_n, i_m)
-        angles = rng.uniform(0.0, TWO_PI / m, (reps, 1)) + np.arange(m) * (TWO_PI / m)
-        v = draw_homodyne_variances(g_w, det, angles, n_events // m, rng)
-        counts = np.full(m, n_events // m, dtype=float)
-        rows = _fit_hom_rows(angles, v, counts, det, "ml")
-        cov, ok, ref = rows.cov, rows.converged, ref_hom
-    else:
-        rng = _rng(int(cfg.seed), _DOM_UNIT_HET, i_n)
-        s = draw_heterodyne_covs(g_w, det, n_events, reps, rng)
-        cov, _ = _fit_het_rows(s, n_events, det)
-        ok, ref = np.ones(reps, dtype=bool), ref_het
-    with np.errstate(over="ignore"):  # a bright state's distance may be inf
+    g_w, det, n, m, reps, seed, key, ref = cell
+    rng = _rng(seed, *key)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m:
+            angles = rng.uniform(0.0, TWO_PI / m, (reps, 1)) + np.arange(m) * (TWO_PI / m)
+            v = draw_homodyne_variances(g_w, det, angles, n // m, rng)
+            counts = np.full(m, n // m, dtype=float)
+            rows = _fit_hom_rows(angles, v, counts, det, "ml")
+            cov, ok = rows.cov, rows.converged
+        else:
+            s = draw_heterodyne_covs(g_w, det, n, reps, rng)
+            cov, _ = _fit_het_rows(s, n, det)
+            ok = np.ones(reps, dtype=bool)
         dhs = hs_distance(CovMat(*cov.T), ref)
-    return (scheme, i_n, i_m), np.where(ok, dhs, math.nan)
+    return np.where(ok, dhs, math.nan)
 
 
 def _aggregate(values: list) -> CellStats:
@@ -257,6 +255,27 @@ def _aggregate(values: list) -> CellStats:
         mean = float(np.mean(arr))
         std = np.ldexp(np.std(np.ldexp(arr, -k), ddof=1), k) if arr.size > 1 else math.nan
     return CellStats(mean, float(std / math.sqrt(arr.size)), arr.size, failed)
+
+
+def _gamma(hom: CellStats, het: CellStats) -> tuple:
+    """(gamma, stderr) of a homodyne and a heterodyne cell; NaN below
+    GAMMA_MIN_REPS usable repetitions or when the homodyne mean is not > 0."""
+    if hom.used >= GAMMA_MIN_REPS and het.used >= GAMMA_MIN_REPS and hom.mean > 0.0:
+        value = het.mean / hom.mean
+        rel = math.hypot(het.stderr / het.mean, hom.stderr / hom.mean)
+        return value, value * rel
+    return math.nan, math.nan
+
+
+def _probe_cells(state: StateSpec, det: DetectionModel, n: int, m: int, reps: int,
+                 seed: int, *key: int) -> list:
+    """The two cells of a one-cell (n, m) exact-truth benchmark run at the
+    child seed (seed, *key): the streams and reference it would use."""
+    g_w, seed = wigner_cov(state), _child_seed(seed, *key)
+    return [
+        (g_w, det, n, m, reps, seed, (_DOM_UNIT_HOM, 0, 0), g_w),
+        (g_w, det, n, 0, reps, seed, (_DOM_UNIT_HET, 0), g_w),
+    ]
 
 
 def _versions() -> dict:
@@ -281,31 +300,16 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     per-cell seeding keeps the report identical for any worker count.
     """
     ref_hom, ref_het = _references(cfg)
-    tasks = []
-    for i_n, n_events in enumerate(cfg.sample_sizes):
+    g_w, det, reps, seed = wigner_cov(cfg.state), cfg.det, cfg.repetitions, int(cfg.seed)
+    cells = {}
+    for i_n, n in enumerate(cfg.sample_sizes):
         for i_m, m in enumerate(cfg.angle_counts):
-            tasks.append(("hom", i_n, i_m, n_events, m))
-        tasks.append(("het", i_n, 0, n_events, 0))
-
-    runner = partial(_run_cell, cfg=cfg, ref_hom=ref_hom, ref_het=ref_het)
-    results = dict(_map_cells(runner, tasks, workers))
-
-    hom_stats = {}
-    het_stats = {}
-    for i_n, n_events in enumerate(cfg.sample_sizes):
-        for i_m, m in enumerate(cfg.angle_counts):
-            hom_stats[(n_events, m)] = _aggregate(results[("hom", i_n, i_m)])
-        het_stats[n_events] = _aggregate(results[("het", i_n, 0)])
-
-    gamma = {}
-    for (n_events, m), hom in hom_stats.items():
-        het = het_stats[n_events]
-        if hom.used >= GAMMA_MIN_REPS and het.used >= GAMMA_MIN_REPS and hom.mean > 0.0:
-            value = het.mean / hom.mean
-            rel = math.hypot(het.stderr / het.mean, hom.stderr / hom.mean)
-            gamma[(n_events, m)] = (value, value * rel)
-        else:
-            gamma[(n_events, m)] = (math.nan, math.nan)
+            cells[(n, m)] = (g_w, det, n, m, reps, seed, (_DOM_UNIT_HOM, i_n, i_m), ref_hom)
+        cells[n] = (g_w, det, n, 0, reps, seed, (_DOM_UNIT_HET, i_n), ref_het)
+    dhs = _map_cells(_run_cell, list(cells.values()), workers)
+    stats = {key: _aggregate(d) for key, d in zip(cells, dhs)}
+    het_stats = {n: stats.pop(n) for n in cfg.sample_sizes}
+    gamma = {(n, m): _gamma(st, het_stats[n]) for (n, m), st in stats.items()}
 
     gamma_an = {}
     for m in cfg.angle_counts:
@@ -319,7 +323,7 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         "het": [ref_het.g11, ref_het.g12, ref_het.g22],
     }
     return BenchmarkReport(
-        cfg, hom_stats, het_stats, gamma, gamma_an, reference, _versions()
+        cfg, stats, het_stats, gamma, gamma_an, reference, _versions()
     )
 
 
@@ -490,31 +494,31 @@ def gamma_map(
     Returns plot-ready rows {mu, lambda, gamma}; cells whose evaluation
     fails numerically carry gamma = NaN.  A protocol that no cell can
     use raises ConfigError before any cell runs.  Analytic maps run in
-    this process, whatever workers says (_analytic_map).  Empirical cells
-    run a one-cell benchmark against the exact covariance (_mc_gamma)
-    with per-cell child seeds, on up to workers processes.
+    this process, whatever workers says (_analytic_map).  An empirical
+    point is its two _probe_cells at a per-point child seed; all cells of
+    the map run on up to workers processes.
     """
     mu_values = [float(v) for v in mu_values]
     lam_values = [float(v) for v in lam_values]
     _check_angle_count(int(angle_count))
     if analytic:
         return _analytic_map(mu_values, lam_values, det, int(angle_count))
-    _check_split(int(n_events), int(angle_count))
-    _check_gamma_reps(int(repetitions))
-    cells = [
-        (i, j, mu, lam)
-        for i, mu in enumerate(mu_values)
-        for j, lam in enumerate(lam_values)
-    ]
-    runner = partial(
-        _map_cell,
-        det=det,
-        n_events=int(n_events),
-        angle_count=int(angle_count),
-        repetitions=int(repetitions),
-        seed=int(seed),
-    )
-    return _map_cells(runner, cells, workers)
+    n, m, reps, seed = int(n_events), int(angle_count), int(repetitions), int(seed)
+    _check_split(n, m)
+    _check_gamma_reps(reps)
+    rows, live, cells = [], [], []
+    for i, mu in enumerate(mu_values):
+        for j, lam in enumerate(lam_values):
+            rows.append({"mu": mu, "lambda": lam, "gamma": math.nan})
+            try:
+                cells += _probe_cells(StateSpec(mu, lam), det, n, m, reps, seed, _DOM_MAP_CELL, i, j)
+            except _NAN_ERRORS:
+                continue
+            live.append(rows[-1])
+    dhs = iter(_map_cells(_run_cell, cells, workers))
+    for row in live:
+        row["gamma"] = _gamma(_aggregate(next(dhs)), _aggregate(next(dhs)))[0]
+    return rows
 
 
 def _analytic_map(mu_values: list, lam_values: list, det: DetectionModel, m: int) -> list:
@@ -542,22 +546,6 @@ def _analytic_map(mu_values: list, lam_values: list, det: DetectionModel, m: int
     return rows
 
 
-def _map_cell(cell, det=None, n_events=0, angle_count=0, repetitions=0, seed=0):
-    i, j, mu, lam = cell
-    try:
-        cell_seed = _child_seed(seed, _DOM_MAP_CELL, i, j)
-        value = _mc_gamma(StateSpec(mu, lam), det, n_events, angle_count, repetitions, cell_seed)
-    except _NAN_ERRORS:
-        value = math.nan
-    return {"mu": mu, "lambda": lam, "gamma": value}
-
-
-def _mc_gamma(state: StateSpec, det: DetectionModel, n: int, m: int, reps: int, seed: int) -> float:
-    """Empirical gamma of the one (n, m) cell, scored against the exact covariance."""
-    cfg = BenchmarkConfig(state, det, (n,), (m,), int(reps), seed, exact_truth=True)
-    return run_benchmark(cfg).gamma[(int(n), int(m))][0]
-
-
 def find_isotropic_crossover(
     det: DetectionModel,
     n_events: int = 10_000,
@@ -569,15 +557,18 @@ def find_isotropic_crossover(
 
     gamma decreases monotonically in mu for lambda = 1, from 1.2 at the
     vacuum toward 0.3; the crossover sits near mu = 1.21.  The bracket
-    [1, 1.5] is bisected 8 times.  Each probe runs _mc_gamma with a child
-    seed of (seed, step).  Too few repetitions to report gamma raise
-    ConfigError before any probe.
+    [1, 1.5] is bisected 8 times.  Each probe runs its two _probe_cells at
+    a child seed of (seed, step) in this process.  A protocol the benchmark
+    rejects raises ConfigError before any probe.
     """
-    _check_gamma_reps(int(repetitions))
+    n, m, reps = int(n_events), int(angle_count), int(repetitions)
+    _check_gamma_reps(reps)
+    _check_angle_count(m)
+    _check_split(n, m)
 
     def gamma_at(mu: float, step: int) -> float:
-        probe_seed = _child_seed(seed, _DOM_CROSSOVER, step)
-        return _mc_gamma(StateSpec(mu, 1.0), det, n_events, angle_count, repetitions, probe_seed)
+        cells = _probe_cells(StateSpec(mu, 1.0), det, n, m, reps, seed, _DOM_CROSSOVER, step)
+        return _gamma(*(_aggregate(_run_cell(cell)) for cell in cells))[0]
 
     lo, hi = 1.0, 1.5
     g_lo = gamma_at(lo, 0)

@@ -121,7 +121,9 @@ def extract_params(g: CovMat) -> StateSpec:
     if d <= SINGULAR_DET_TOL:
         raise SingularMatrix(f"covariance determinant {d} <= {SINGULAR_DET_TOL}")
     e1, e2 = g.eigenvalues()
-    mu = math.sqrt(e1 * e2)
+    # e1 and e2 scaled by 2^-k about their middle exponent: e1 * e2 cannot overflow
+    k = (math.frexp(e1)[1] + math.frexp(e2)[1]) // 2
+    mu = math.ldexp(math.sqrt(math.ldexp(e1, -k) * math.ldexp(e2, -k)), k)
     lam = math.sqrt(e2 / e1)
     if e2 - e1 <= 1e-12 * e2:
         orientation = 0.0

@@ -166,8 +166,8 @@ class TestRunCell:
     def test_zero_variance_row_fails_alone(self, monkeypatch):
         cfg = small_cfg(sample_sizes=(600,), angle_counts=(5,), repetitions=40)
         g = wigner_cov(VAC)
-        task = ("hom", 0, 0, 600, 5)
-        _, clean = benchmark._run_cell(task, cfg, g, g)
+        cell = (g, DET1, 600, 5, 40, cfg.seed, (benchmark._DOM_UNIT_HOM, 0, 0), g)
+        clean = benchmark._run_cell(cell)
         draw = benchmark.draw_homodyne_variances
 
         def draw_with_zero(*args):
@@ -176,12 +176,59 @@ class TestRunCell:
             return v
 
         monkeypatch.setattr(benchmark, "draw_homodyne_variances", draw_with_zero)
-        _, dhs = benchmark._run_cell(task, cfg, g, g)
+        dhs = benchmark._run_cell(cell)
         assert np.isnan(dhs[3])
         assert not np.any(np.isnan(clean))
         assert np.array_equal(np.delete(dhs, 3), np.delete(clean, 3))
         stats = run_benchmark(cfg).hom[(600, 5)]
         assert (stats.used, stats.failed) == (39, 1)
+
+    def test_map_point_is_gamma_of_its_two_cells(self):
+        # a Monte Carlo map point is _gamma of its homodyne and heterodyne
+        # cell, drawn at the point's child seed and scored against the truth
+        state, seed = StateSpec(1.5, 2.0), 3
+        rows = gamma_map([1.0, 1.5], [2.0], DET1, n_events=600, angle_count=5,
+                         repetitions=30, seed=seed)
+        g = wigner_cov(state)
+        point_seed = benchmark._child_seed(seed, benchmark._DOM_MAP_CELL, 1, 0)
+        hom = (g, DET1, 600, 5, 30, point_seed, (benchmark._DOM_UNIT_HOM, 0, 0), g)
+        het = (g, DET1, 600, 0, 30, point_seed, (benchmark._DOM_UNIT_HET, 0), g)
+        stats = [benchmark._aggregate(benchmark._run_cell(cell)) for cell in (hom, het)]
+        value, stderr = benchmark._gamma(*stats)
+        assert rows[1] == {"mu": 1.5, "lambda": 2.0, "gamma": value}
+        assert math.isfinite(value) and stderr > 0.0
+
+    def test_map_and_crossover_build_no_benchmark(self, monkeypatch):
+        # Monte Carlo points and crossover probes run their cells directly:
+        # no BenchmarkConfig, no report, no analytic gamma
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the Monte Carlo path")
+
+        monkeypatch.setattr(benchmark, "gamma_analytic", refuse)
+        monkeypatch.setattr(benchmark, "BenchmarkConfig", refuse)
+        monkeypatch.setattr(benchmark, "BenchmarkReport", refuse)
+        rows = gamma_map([1.0, 3.0], [1.0], DET1, n_events=600, angle_count=5,
+                         repetitions=30, seed=1)
+        assert all(math.isfinite(row["gamma"]) for row in rows)
+        mu = benchmark.find_isotropic_crossover(DET1, n_events=1000, angle_count=5,
+                                                repetitions=300, seed=1)
+        assert 1.0 < mu < 1.5
+
+    @pytest.mark.parametrize("det", [DET1, DetectionModel(0.85, CovMat(0.01, 0.0, 0.01))],
+                             ids=["eta1", "eta085-gelec"])
+    def test_extreme_monte_carlo_map_is_silent(self, det):
+        # inf and NaN statistics, fits and distances end as NaN cells,
+        # without numpy warnings and without a cell raising
+        mus = np.geomspace(1e-300, 1e305, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = gamma_map(mus, [1e-5, 1.0, 1e6], det, n_events=600, angle_count=5,
+                             repetitions=30, seed=0)
+        assert [(r["mu"], r["lambda"]) for r in rows] == [
+            (mu, lam) for mu in mus for lam in (1e-5, 1.0, 1e6)
+        ]
+        gammas = np.array([r["gamma"] for r in rows])
+        assert 0 < np.isnan(gammas).sum() < len(rows)
 
 
 class TestBuildReference:

@@ -529,11 +529,11 @@ class TestWorkers:
                      "--out", str(tmp_path / "a")]) == 0
         assert main([*self.BENCH, "--samples", "600,1200", "--workers", "1",
                      "--out", str(tmp_path / "b")]) == 0
-        # 2 cells, 3 CPUs
+        # 2 points x (1 hom + 1 het) = 4 cells, 3 CPUs
         assert main(["gamma-map", "--grid", "2x1", "--samples", "1000", "--angles", "5",
                      "--reps", "30", *huge]) == 0
         capsys.readouterr()
-        assert sizes == [3, 2]
+        assert sizes == [3, 3]
         for suffix in (".json", ".csv"):
             a = (tmp_path / f"a{suffix}").read_bytes()
             assert a == (tmp_path / f"b{suffix}").read_bytes()

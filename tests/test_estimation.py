@@ -80,6 +80,22 @@ class TestExtractParams:
             back = wigner_cov(StateSpec(s.mu, 1.0 / s.lam, s.orientation))
             assert hs_distance(back, g) < 1e-16 * max(1.0, g.trace) ** 2
 
+    def test_round_trip_bright(self):
+        # e1 * e2 overflows above mu ~ 1.3e154; mu is taken from the
+        # eigenvalues scaled by a power of two, so it stays finite
+        for mu in (1e160, 1e300):
+            s = extract_params(wigner_cov(StateSpec(mu, 3.0, 0.4)))
+            assert s.mu == pytest.approx(mu, rel=1e-12)
+            assert s.lam == pytest.approx(3.0, rel=1e-12)
+
+    def test_mu_bits_where_the_product_is_normal(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            g = wigner_cov(StateSpec(10.0 ** rng.uniform(-5, 150), rng.uniform(1.0, 1e6),
+                                     rng.uniform(0.0, math.pi)))
+            e1, e2 = g.eigenvalues()
+            assert extract_params(g).mu == math.sqrt(e1 * e2)
+
     def test_isotropic_orientation_zero(self):
         s = extract_params(CovMat(2.5, 0.0, 2.5))
         assert s.lam == 1.0
@@ -159,7 +175,7 @@ class TestHomodyneEstimators:
     m=st.sampled_from([3, 5, 6, 7, 9, 10, 15]),
     n=st.integers(2, 500),
     seed=st.integers(0, 2**32),
-    k=st.integers(-400, 400),
+    k=st.integers(-400, 1000),
 )
 def test_scaled_variances_scale_the_estimate(mu, lam, orientation, m, n, seed, k):
     # Variances times 2^k: WLS gives exactly 2^k times the estimate, at any
