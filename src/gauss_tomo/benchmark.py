@@ -17,15 +17,13 @@ worker count.  A cell is then fitted as one batch: its R repetitions are
 the rows of one call to the row estimator cores, which give each row the
 result it would get alone, and are projected and scored as arrays.
 
-The references, each Monte Carlo gamma-map point and each crossover probe
-draw a child seed from the root seed (sampling._child_seed); a point and a
-probe are the two cells of a one-cell exact-truth benchmark (_probe_cells).
-
-The analytic side has one homodyne core, _expected_hom_rows: the expected
-error of many cells that share an angle count, evaluated as stacked
-Fisher blocks.  expected_hom_hs_error and gamma_analytic are its one-row
-views, and gamma_map(analytic=True) makes one call for its whole grid;
-each cell gets the bits it gets alone.
+Each gamma method has one evaluator.  _mc_gammas serves Monte Carlo
+gamma-map points and crossover probes: a point draws a child seed from
+the root seed (sampling._child_seed) and runs the two cells of a
+one-cell exact-truth benchmark there.  _analytic_gammas serves analytic
+map cells and gamma_analytic: its homodyne core, _expected_hom_rows,
+evaluates the expected error of many states that share an angle count
+as stacked Fisher blocks, each state getting the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
 _BLOCK_CELLS = 16  # cells per stacked Fisher block: 16 x 64 offsets = 1024 3x3 matrices
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
-# errors that turn an analytic gamma or a map point into NaN
-_NAN_ERRORS = (GaussTomoError, ValueError, OverflowError)
 
 
 def _distinct_mod_pi(m: int) -> int:
@@ -155,36 +151,16 @@ class BenchmarkReport:
     versions: dict
 
     def to_dict(self) -> dict:
-        results = []
-        for (n, m), st in sorted(self.hom.items()):
-            results.append(
-                {
-                    "scheme": "hom",
-                    "N": n,
-                    "m": m,
-                    "dhs_mean": st.mean,
-                    "dhs_stderr": st.stderr,
-                    "reps_used": st.used,
-                    "failures": st.failed,
-                }
-            )
-        for n, st in sorted(self.het.items()):
-            results.append(
-                {
-                    "scheme": "het",
-                    "N": n,
-                    "m": None,
-                    "dhs_mean": st.mean,
-                    "dhs_stderr": st.stderr,
-                    "reps_used": st.used,
-                    "failures": st.failed,
-                }
-            )
+        def row(scheme, n, m, st):
+            return {"scheme": scheme, "N": n, "m": m, "dhs_mean": st.mean,
+                    "dhs_stderr": st.stderr, "reps_used": st.used, "failures": st.failed}
+
         return {
             "config": self.config.to_dict(),
             "versions": self.versions,
             "reference": self.reference,
-            "results": results,
+            "results": [row("hom", n, m, st) for (n, m), st in sorted(self.hom.items())]
+            + [row("het", n, None, st) for n, st in sorted(self.het.items())],
             "gamma": [
                 {"N": n, "m": m, "gamma": g, "gamma_stderr": se}
                 for (n, m), (g, se) in sorted(self.gamma.items())
@@ -267,17 +243,6 @@ def _gamma(hom: CellStats, het: CellStats) -> tuple:
     return math.nan, math.nan
 
 
-def _probe_cells(state: StateSpec, det: DetectionModel, n: int, m: int, reps: int,
-                 seed: int, *key: int) -> list:
-    """The two cells of a one-cell (n, m) exact-truth benchmark run at the
-    child seed (seed, *key): the streams and reference it would use."""
-    g_w, seed = wigner_cov(state), _child_seed(seed, *key)
-    return [
-        (g_w, det, n, m, reps, seed, (_DOM_UNIT_HOM, 0, 0), g_w),
-        (g_w, det, n, 0, reps, seed, (_DOM_UNIT_HET, 0), g_w),
-    ]
-
-
 def _versions() -> dict:
     return {"artifact": __version__, "numpy": np.__version__}
 
@@ -291,6 +256,22 @@ def _map_cells(fn, cells: list, workers: int) -> list:
         return [fn(cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells))
+
+
+def _mc_gammas(points: list, det: DetectionModel, n: int, m: int, reps: int, seed: int,
+               workers: int = 1) -> list:
+    """Monte Carlo gamma of each (state, key) point: _gamma of the two cells
+    of a one-cell (n, m) exact-truth benchmark run at the child seed
+    (seed, *key).  All cells of all points go through one _map_cells call."""
+    cells = []
+    for state, key in points:
+        g_w, point_seed = wigner_cov(state), _child_seed(seed, *key)
+        cells += [
+            (g_w, det, n, m, reps, point_seed, (_DOM_UNIT_HOM, 0, 0), g_w),
+            (g_w, det, n, 0, reps, point_seed, (_DOM_UNIT_HET, 0), g_w),
+        ]
+    dhs = _map_cells(_run_cell, cells, workers)
+    return [_gamma(_aggregate(hom), _aggregate(het))[0] for hom, het in zip(dhs[::2], dhs[1::2])]
 
 
 def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
@@ -311,13 +292,7 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     het_stats = {n: stats.pop(n) for n in cfg.sample_sizes}
     gamma = {(n, m): _gamma(st, het_stats[n]) for (n, m), st in stats.items()}
 
-    gamma_an = {}
-    for m in cfg.angle_counts:
-        try:
-            gamma_an[m] = gamma_analytic(cfg.state, cfg.det, m)
-        except _NAN_ERRORS:
-            gamma_an[m] = math.nan
-
+    gamma_an = {m: gamma_analytic(cfg.state, cfg.det, m) for m in cfg.angle_counts}
     reference = {
         "hom": [ref_hom.g11, ref_hom.g12, ref_hom.g22],
         "het": [ref_het.g11, ref_het.g12, ref_het.g22],
@@ -399,7 +374,8 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> t
     protocol offsets.  Returns (values, singular), both (C,): a cell's
     value is the mean over offsets of the weighted trace of its inverse
     Fisher information (see expected_hom_hs_error), and NaN where
-    singular is True.
+    singular is True.  An m with fewer than 3 angles distinct mod pi raises
+    SingularMatrix.
 
     The angle grid is built once; cells are stacked _BLOCK_CELLS at a
     time into (B, P, 3, 3) Fisher blocks with one det test and one inv
@@ -408,6 +384,8 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> t
     value does not depend on the other cells.  Variances that underflow
     or overflow give NaN or singular cells, without numpy warnings.
     """
+    if _distinct_mod_pi(m) < 3:
+        raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
     g = np.asarray(g_noisy, dtype=float).reshape(-1, 3)
     values = np.full(len(g), math.nan)
     singular = np.zeros(len(g), dtype=bool)
@@ -454,13 +432,33 @@ def expected_hom_hs_error(
     gives NaN or SingularMatrix, without numpy warnings.
     """
     m = int(angle_count)
-    if _distinct_mod_pi(m) < 3:
-        raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
     g = det.recorded(wigner_cov(state), "hom")
     values, singular = _expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, _hom_offsets(m))
     if singular[0]:
         raise SingularMatrix("Fisher information is singular for this protocol")
     return float(values[0])
+
+
+def _analytic_gammas(states: list, det: DetectionModel, m: int) -> list:
+    """gamma_analytic of each state: the heterodyne side state by state,
+    the homodyne side of all states in one _expected_hom_rows call.  A
+    state gets NaN where its heterodyne error overflows or its Fisher
+    information is singular; a protocol with fewer than 3 angles distinct
+    mod pi raises SingularMatrix."""
+    gammas, live, het, g_rows = [math.nan] * len(states), [], [], []
+    for i, state in enumerate(states):
+        try:
+            het.append(expected_het_hs_error(state, det, _GAMMA_EVENTS))
+        except OverflowError:
+            continue
+        g = det.recorded(wigner_cov(state), "hom")
+        g_rows.append((g.g11, g.g12, g.g22))
+        live.append(i)
+    hom, singular = _expected_hom_rows(g_rows, m, _GAMMA_EVENTS, _hom_offsets(m))
+    for i, het_err, hom_err, bad in zip(live, het, hom.tolist(), singular.tolist()):
+        if not bad:
+            gammas[i] = het_err / hom_err
+    return gammas
 
 
 def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> float:
@@ -470,12 +468,12 @@ def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> f
     homodyne side is averaged over the protocol offset.  For isotropic
     states at eta=1 this reduces to 6 (mu+1)^2 / (20 mu^2): 1.2 at the
     vacuum, crossing 1 near mu = 1.211, tending to 0.3 for bright
-    thermal states.  The scalar entry point; gamma_map evaluates many
-    cells with one _expected_hom_rows call (_analytic_map).
+    thermal states.  The one-state view of _analytic_gammas: NaN where the
+    state fails numerically (an overflowing heterodyne error or a singular
+    Fisher information), SingularMatrix for a protocol with fewer than 3
+    angles distinct mod pi.
     """
-    het = expected_het_hs_error(state, det, _GAMMA_EVENTS)
-    hom = expected_hom_hs_error(state, det, angle_count, _GAMMA_EVENTS)
-    return het / hom
+    return _analytic_gammas([state], det, int(angle_count))[0]
 
 
 def gamma_map(
@@ -491,58 +489,36 @@ def gamma_map(
 ) -> list:
     """Evaluate gamma over the (mu, lambda) grid.
 
-    Returns plot-ready rows {mu, lambda, gamma}; cells whose evaluation
-    fails numerically carry gamma = NaN.  A protocol that no cell can
-    use raises ConfigError before any cell runs.  Analytic maps run in
-    this process, whatever workers says (_analytic_map).  An empirical
-    point is its two _probe_cells at a per-point child seed; all cells of
-    the map run on up to workers processes.
+    Returns plot-ready rows {mu, lambda, gamma}; a point that StateSpec
+    rejects or whose evaluation fails numerically carries gamma = NaN.  A
+    protocol that no point can use raises ConfigError before any point
+    runs.  The grid is walked once and its valid points go to one evaluator
+    call: _analytic_gammas in this process, whatever workers says, or
+    _mc_gammas with key (_DOM_MAP_CELL, i, j), whose cells run on up to
+    workers processes.
     """
     mu_values = [float(v) for v in mu_values]
     lam_values = [float(v) for v in lam_values]
-    _check_angle_count(int(angle_count))
-    if analytic:
-        return _analytic_map(mu_values, lam_values, det, int(angle_count))
     n, m, reps, seed = int(n_events), int(angle_count), int(repetitions), int(seed)
-    _check_split(n, m)
-    _check_gamma_reps(reps)
-    rows, live, cells = [], [], []
+    _check_angle_count(m)
+    if not analytic:
+        _check_split(n, m)
+        _check_gamma_reps(reps)
+    rows, live, points = [], [], []
     for i, mu in enumerate(mu_values):
         for j, lam in enumerate(lam_values):
             rows.append({"mu": mu, "lambda": lam, "gamma": math.nan})
             try:
-                cells += _probe_cells(StateSpec(mu, lam), det, n, m, reps, seed, _DOM_MAP_CELL, i, j)
-            except _NAN_ERRORS:
+                points.append((StateSpec(mu, lam), (_DOM_MAP_CELL, i, j)))
+            except ValueError:
                 continue
             live.append(rows[-1])
-    dhs = iter(_map_cells(_run_cell, cells, workers))
-    for row in live:
-        row["gamma"] = _gamma(_aggregate(next(dhs)), _aggregate(next(dhs)))[0]
-    return rows
-
-
-def _analytic_map(mu_values: list, lam_values: list, det: DetectionModel, m: int) -> list:
-    """gamma_analytic over the grid: the heterodyne side cell by cell, the
-    homodyne side of every cell in one _expected_hom_rows call.  A cell
-    gets NaN where gamma_analytic would raise one of _NAN_ERRORS: an
-    invalid state, an overflowing heterodyne error or a singular Fisher
-    information."""
-    rows, live, het, g_rows = [], [], [], []
-    for mu in mu_values:
-        for lam in lam_values:
-            rows.append({"mu": mu, "lambda": lam, "gamma": math.nan})
-            try:
-                state = StateSpec(mu, lam)
-                het.append(expected_het_hs_error(state, det, _GAMMA_EVENTS))
-            except _NAN_ERRORS:
-                continue
-            g = det.recorded(wigner_cov(state), "hom")
-            g_rows.append((g.g11, g.g12, g.g22))
-            live.append(rows[-1])
-    hom, singular = _expected_hom_rows(g_rows, m, _GAMMA_EVENTS, _hom_offsets(m))
-    for row, het_err, hom_err, bad in zip(live, het, hom.tolist(), singular.tolist()):
-        if not bad:
-            row["gamma"] = het_err / hom_err
+    if analytic:
+        gammas = _analytic_gammas([state for state, _ in points], det, m)
+    else:
+        gammas = _mc_gammas(points, det, n, m, reps, seed, workers)
+    for row, gamma in zip(live, gammas):
+        row["gamma"] = gamma
     return rows
 
 
@@ -557,9 +533,9 @@ def find_isotropic_crossover(
 
     gamma decreases monotonically in mu for lambda = 1, from 1.2 at the
     vacuum toward 0.3; the crossover sits near mu = 1.21.  The bracket
-    [1, 1.5] is bisected 8 times.  Each probe runs its two _probe_cells at
-    a child seed of (seed, step) in this process.  A protocol the benchmark
-    rejects raises ConfigError before any probe.
+    [1, 1.5] is bisected 8 times.  Each probe is one _mc_gammas point
+    with key (_DOM_CROSSOVER, step), run in this process.  A protocol the
+    benchmark rejects raises ConfigError before any probe.
     """
     n, m, reps = int(n_events), int(angle_count), int(repetitions)
     _check_gamma_reps(reps)
@@ -567,8 +543,7 @@ def find_isotropic_crossover(
     _check_split(n, m)
 
     def gamma_at(mu: float, step: int) -> float:
-        cells = _probe_cells(StateSpec(mu, 1.0), det, n, m, reps, seed, _DOM_CROSSOVER, step)
-        return _gamma(*(_aggregate(_run_cell(cell)) for cell in cells))[0]
+        return _mc_gammas([(StateSpec(mu, 1.0), (_DOM_CROSSOVER, step))], det, n, m, reps, seed)[0]
 
     lo, hi = 1.0, 1.5
     g_lo = gamma_at(lo, 0)

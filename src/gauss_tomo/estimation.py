@@ -17,7 +17,7 @@ one-row views of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,13 +40,8 @@ class Diagnostics:
     loglik: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "psd_clipped": self.psd_clipped,
-            "variances": None if self.variances is None else [float(v) for v in self.variances],
-            "loglik": self.loglik,
-        }
+        v = self.variances
+        return {**asdict(self), "variances": None if v is None else [float(x) for x in v]}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ _stephens_t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaincc, kolmogorov, ndtr
@@ -54,18 +54,7 @@ class GaussianityReport:
     pass_99: bool
 
     def to_dict(self) -> dict:
-        return {
-            "ks_statistic": self.ks_statistic,
-            "ks_pvalue": self.ks_pvalue,
-            "ks_pvalue_asymptotic": self.ks_pvalue_asymptotic,
-            "chi2_statistic": self.chi2_statistic,
-            "chi2_dof": self.chi2_dof,
-            "chi2_pvalue": self.chi2_pvalue,
-            "kl_divergence": self.kl_divergence,
-            "bin_count": self.bin_count,
-            "pass_95": self.pass_95,
-            "pass_99": self.pass_99,
-        }
+        return asdict(self)
 
 
 def _ks_d(xs: np.ndarray, mean, sd) -> np.ndarray:

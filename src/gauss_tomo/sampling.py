@@ -223,9 +223,15 @@ def draw_homodyne_variances(
     angles may have any shape, such as (reps, m); each entry gets the
     known-zero-mean sample variance of n_per_angle events at that angle,
     sigma_theta^2 * chi2_n / n, with sigma_theta as in sample_homodyne.
+    The sigmas are scaled by the power of two of the largest before the
+    product and scaled back after the division: the same bits, but
+    sigma^2 chi2_n no longer overflows when only the product passes the
+    float range.
     """
     sigmas = _homodyne_sigmas(g_w, det, angles)
-    return sigmas * sigmas * rng.chisquare(n_per_angle, sigmas.shape) / n_per_angle
+    k = np.frexp(np.max(sigmas))[1]
+    s = np.ldexp(sigmas, -k)
+    return np.ldexp(s * s * rng.chisquare(n_per_angle, sigmas.shape) / n_per_angle, 2 * k)
 
 
 def _heterodyne_chol(g_w: CovMat, det: DetectionModel) -> np.ndarray:
@@ -271,15 +277,19 @@ def draw_heterodyne_covs(
     n S is Wishart(n, Sigma) with Sigma = L L^T the covariance
     sample_heterodyne draws from; the Bartlett decomposition gives
     S = L A A^T L^T / n with A lower triangular, A11^2 ~ chi2_n,
-    A22^2 ~ chi2_{n-1} and A21 ~ N(0, 1).  Needs n_pairs >= 2.
+    A22^2 ~ chi2_{n-1} and A21 ~ N(0, 1).  Needs n_pairs >= 2.  L is
+    scaled by the power of two of its largest entry, and S scaled back
+    after the division, as in draw_homodyne_variances.
     """
     chol = _heterodyne_chol(g_w, det)
+    k = np.frexp(np.max(np.abs(chol)))[1]
+    chol = np.ldexp(chol, -k)
     a = np.zeros((reps, 2, 2))
     a[:, 0, 0] = np.sqrt(rng.chisquare(n_pairs, reps))
     a[:, 1, 0] = rng.standard_normal(reps)
     a[:, 1, 1] = np.sqrt(rng.chisquare(n_pairs - 1, reps))
     la = chol @ a
-    return la @ la.transpose(0, 2, 1) / n_pairs
+    return np.ldexp(la @ la.transpose(0, 2, 1) / n_pairs, 2 * k)
 
 
 def thermalize_homodyne(d: HomodyneDataset, seed: int) -> HomodyneDataset:

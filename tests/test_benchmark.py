@@ -21,7 +21,7 @@ from gauss_tomo import (
 )
 from gauss_tomo import benchmark, cli
 from gauss_tomo.dataio import read_dataset
-from gauss_tomo.errors import ConfigError, GaussTomoError
+from gauss_tomo.errors import ConfigError, GaussTomoError, SingularMatrix
 
 VAC = StateSpec(1.0, 1.0)
 DET1 = DetectionModel(1.0)
@@ -161,6 +161,14 @@ class TestBrightStates:
         assert math.isfinite(stderr) and stderr > 0.0
         assert value == pytest.approx(dim_value, rel=1e-4)
 
+    def test_float_limit_homodyne_draws_fit(self):
+        # at mu 1e300, lambda 1e6 the per-angle variances drawn at n 1500
+        # no longer overflow, so only the 2 of 30 fits that fail at any mu
+        # (singular WLS start, stalled ML) fail here
+        cfg = small_cfg(state=StateSpec(1e300, 1e6), sample_sizes=(1500,), angle_counts=(5,),
+                        repetitions=30, seed=0)
+        assert run_benchmark(cfg).hom[(1500, 5)].failed == 2
+
 
 class TestRunCell:
     def test_zero_variance_row_fails_alone(self, monkeypatch):
@@ -229,6 +237,13 @@ class TestRunCell:
         ]
         gammas = np.array([r["gamma"] for r in rows])
         assert 0 < np.isnan(gammas).sum() < len(rows)
+
+
+def test_crossover_is_pinned():
+    # the crossover probes' streams: a bisection point of (seed, step) child seeds
+    mu = benchmark.find_isotropic_crossover(DET1, n_events=1000, angle_count=5,
+                                            repetitions=300, seed=1)
+    assert mu == 1.2939453125
 
 
 class TestBuildReference:
@@ -368,6 +383,15 @@ class TestGammaAnalytic:
 
     def test_limit_is_point_three(self):
         assert gamma_analytic(StateSpec(1e6, 1.0), DET1, 10) == pytest.approx(0.3, rel=1e-4)
+
+    def test_failing_states_give_nan(self):
+        # a singular Fisher information, then an overflowing heterodyne error
+        assert math.isnan(gamma_analytic(StateSpec(1e150, 1e-4), DET1, 3))
+        assert math.isnan(gamma_analytic(StateSpec(1e200, 1.0), DET1, 5))
+
+    def test_two_angles_mod_pi_raise(self):
+        with pytest.raises(SingularMatrix):
+            gamma_analytic(VAC, DET1, 4)
 
 
 class TestGammaMap:

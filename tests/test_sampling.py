@@ -174,6 +174,48 @@ class TestHeterodyneSampling:
         assert abs(z_dhs) < 3.0, z_dhs
 
 
+class TestBrightDraws:
+    # sigma^2 chi2_n and (L A)(L A)^T pass the float range before the
+    # division by n; the scaled draws must not overflow there, and must
+    # keep the bits of the plain formulas wherever those were finite
+
+    def test_draws_are_finite_at_the_float_limit(self):
+        g = wigner_cov(StateSpec(1e300, 1e6))
+        for det in (DetectionModel(), DET):
+            angles = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, (30, 5))
+            v = draw_homodyne_variances(g, det, angles, 300, np.random.default_rng(2))
+            s = draw_heterodyne_covs(g, det, 1500, 30, np.random.default_rng(3))
+            assert np.all(np.isfinite(v)) and np.all(v > 0.0)
+            assert np.all(np.isfinite(s))
+
+    def test_scaled_draws_match_the_plain_formulas(self):
+        r = np.random.default_rng(74)
+        for case in range(300):
+            mu, lam = 10 ** r.uniform(-300, 300), 10 ** r.uniform(0, 6)
+            g = wigner_cov(StateSpec(mu, lam, r.uniform(0, math.pi)))
+            det = (DetectionModel(), DET)[case % 2]
+            n, seed = int(r.choice([2, 600, 1500, 15000])), int(r.integers(2**31))
+            angles = r.uniform(0.0, 2.0 * math.pi, (4, 5))
+            got = draw_homodyne_variances(g, det, angles, n, np.random.default_rng(seed))
+            s = _homodyne_sigmas(g, det, angles)
+            with np.errstate(over="ignore"):
+                want = s * s * np.random.default_rng(seed).chisquare(n, s.shape) / n
+            ok = np.isfinite(want)
+            np.testing.assert_array_equal(got[ok], want[ok])
+
+            got = draw_heterodyne_covs(g, det, n, 4, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            a = np.zeros((4, 2, 2))
+            a[:, 0, 0] = np.sqrt(rng.chisquare(n, 4))
+            a[:, 1, 0] = rng.standard_normal(4)
+            a[:, 1, 1] = np.sqrt(rng.chisquare(n - 1, 4))
+            la = np.linalg.cholesky(det.recorded(g, "het").matrix) @ a
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = la @ la.transpose(0, 2, 1) / n
+            ok = np.isfinite(want)
+            np.testing.assert_array_equal(got[ok], want[ok])
+
+
 class TestThermalize:
     def test_homodyne_multiset_preserved_exactly(self):
         d = sample_homodyne(G_W, DET, AngleProtocol(6), 500, 17)
