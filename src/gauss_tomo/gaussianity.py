@@ -16,6 +16,9 @@ _NULL_BLOCK_ROWS rows drawn in order from one generator, so it equals a
 single full draw while holding only one block in memory.  The battery
 and the table share one KS distance, _ks_d, and one size correction,
 _stephens_t.
+
+scipy is needed only here, and is loaded on the first call that uses it,
+so importing the package or running any other command does not load it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaincc, kolmogorov, ndtr
 
 from .errors import DegenerateVariance, TooFewSamples
 
@@ -60,6 +62,8 @@ class GaussianityReport:
 def _ks_d(xs: np.ndarray, mean, sd) -> np.ndarray:
     """KS distance of each sorted row of xs (its last axis) from the normal
     CDF of the given mean and sd, which broadcast against xs."""
+    from scipy.special import ndtr
+
     n = xs.shape[-1]
     f = ndtr((xs - mean) / sd)
     i = np.arange(1, n + 1)
@@ -122,6 +126,8 @@ def kl_divergence(p, q) -> float:
 
 
 def _binned(x: np.ndarray, mean: float, sd: float, bins: int):
+    from scipy.special import ndtr
+
     # bins-2 interior bins across mean +- 5 sd, one open overflow bin each end
     edges = np.linspace(mean - BIN_HALF_WIDTH_SDS * sd, mean + BIN_HALF_WIDTH_SDS * sd, bins - 1)
     idx = np.searchsorted(edges, x, side="right")
@@ -163,6 +169,8 @@ def test_gaussianity(samples, bins: int = DEFAULT_BINS) -> GaussianityReport:
     the chi-square p-values exceed 1 - c.  KL is reported in nats but
     carries no p-value.
     """
+    from scipy.special import gammaincc, kolmogorov
+
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("samples must be a 1-D array")

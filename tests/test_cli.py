@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gauss_tomo
 import gauss_tomo.benchmark as bm
 from gauss_tomo import cli, read_dataset
 from gauss_tomo.cli import main
@@ -597,3 +602,53 @@ def test_help_still_exits_0(capsys):
             main(argv)
         assert exc_info.value.code == 0
         assert "usage: gauss-tomo" in capsys.readouterr().out
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+
+def scipy_loaded():
+    return "scipy" in sys.modules
+
+steps = []
+import gauss_tomo
+from gauss_tomo import GaussianityReport, kl_divergence, test_gaussianity
+from gauss_tomo.gaussianity import DEFAULT_BINS, MIN_BINS
+steps.append(["import gauss_tomo", scipy_loaded()])
+from gauss_tomo import cli
+steps.append(["import gauss_tomo.cli", scipy_loaded()])
+for argv in (
+    ["simulate", "--scheme", "het", "--samples", "3000", "--seed", "1", "--format", "bin",
+     "--out", "d.bin"],
+    ["estimate", "d.bin", "--out", "e.json"],
+    ["verify", "d.bin", "e.json"],
+    ["benchmark", "--samples", "600", "--angles", "5", "--reps", "10", "--exact-truth",
+     "--out", "b"],
+    ["gamma-map", "--analytic", "--grid", "2x2", "--mu-range", "1:2", "--lambda-range", "1:3"],
+    ["gaussianity", "d.bin"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, scipy_loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_only_gaussianity_loads_scipy(tmp_path):
+    # A fresh interpreter: scipy stays unloaded until the Gaussianity battery runs.
+    src = str(Path(gauss_tomo.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import gauss_tomo", False],
+        ["import gauss_tomo.cli", False],
+        ["simulate", 0, False],
+        ["estimate", 0, False],
+        ["verify", 0, False],
+        ["benchmark", 0, False],
+        ["gamma-map", 0, False],
+        ["gaussianity", 0, True],
+    ]
