@@ -7,67 +7,79 @@ c2[r] = cos(2*theta[r]), s2[r] = sin(2*theta[r]), all broadcastable to
 (R, m) and summed over the last axis.  The kernels know nothing about
 covariance matrices:
 
-    loglik_rows(a, v, n, c2, s2)                -> (R,) (-inf off the feasible set)
+    qr_rows(var, n, c2, s2)                     -> (w, q, r, k, ok)
+    loglik_rows(a, v, n, c2, s2)                -> (R,) deviance (-inf off the feasible set)
     wls_fit_rows(v, n, c2, s2)                  -> (a, ok)
     ml_fit_rows(v, n, c2, s2, max_iter, tol)    -> (a, loglik, niter, converged)
 
 with a of shape (R, 3), float64 arrays throughout and counts passed as
 float64.  Each row's result is the one it gets when fitted alone.
+
+Every 3-parameter solve goes through one factorization, qr_rows, of the
+whitened design sqrt(n/2)/sigma^2 (1, c2, s2): the WLS fit and each
+Fisher-scoring step solve R x = Q^T b on it, and the analytic homodyne
+error reads its inverse Fisher information (R^T R)^-1 from R.
 """
 
 import numpy as np
 
 
-def _solve3(m00, m01, m02, m11, m12, m22, b0, b1, b2):
-    # Cramer solve of symmetric 3x3 systems, elementwise over rows;
-    # ok=False (and x = 0) on (near-)singular rows.
-    det = (
-        m00 * (m11 * m22 - m12 * m12)
-        - m01 * (m01 * m22 - m12 * m02)
-        + m02 * (m01 * m12 - m11 * m02)
-    )
-    big = np.maximum.reduce([np.abs(x) for x in (m00, m01, m02, m11, m12, m22)])
-    ok = np.abs(det) > 1e-13 * big * big * big
-    det = np.where(ok, det, 1.0)
-    x0 = (
-        b0 * (m11 * m22 - m12 * m12)
-        - m01 * (b1 * m22 - m12 * b2)
-        + m02 * (b1 * m12 - m11 * b2)
-    ) / det
-    x1 = (
-        m00 * (b1 * m22 - m12 * b2)
-        - b0 * (m01 * m22 - m12 * m02)
-        + m02 * (m01 * b2 - b1 * m02)
-    ) / det
-    x2 = (
-        m00 * (m11 * b2 - b1 * m12)
-        - m01 * (m01 * b2 - b1 * m02)
-        + b0 * (m01 * m12 - m11 * m02)
-    ) / det
-    return np.where(ok, x0, 0.0), np.where(ok, x1, 0.0), np.where(ok, x2, 0.0), ok
+def qr_rows(var, n, c2, s2):
+    """QR factor of the whitened design w (1, c2, s2), w = sqrt(n/2)/var, row by row.
+
+    var, n, c2 and s2 broadcast to (..., m); the last axis is the angle.
+    Each row's var is first scaled by 2^-k, k the exponent of its
+    smallest entry, so that the scaled design 2^k w (1, c2, s2) has the
+    same bits at any brightness.  It is factored as Q R by classical
+    Gram-Schmidt with one reorthogonalization (CGS2: Golub and Van Loan,
+    Matrix Computations, sec. 5.2; Giraud, Langou and Rozloznik, Comput.
+    Math. Appl. 50 (2005) 1069), elementwise over rows, so no per-matrix
+    LAPACK call is made.  Returns (w, q, r, k, ok): w the scaled weights
+    2^k sqrt(n/2)/var, q the three orthonormal columns of Q, r =
+    (r00, r01, r02, r11, r12, r22) the entries of R, k the exponents and
+    ok False on a row whose smallest |R_jj| is at most 1e-13 of its
+    largest, or not finite.
+    """
+    k = np.frexp(np.min(var, axis=-1, keepdims=True))[1]
+    w = np.sqrt(0.5 * n) / np.ldexp(var, -k)
+    q, r = [], []
+    for p in (w, w * c2, w * s2):
+        rj = [0.0] * len(q)
+        for _ in range(2):  # classical Gram-Schmidt, then once more
+            t = [np.sum(qi * p, axis=-1, keepdims=True) for qi in q]
+            for i, (qi, ti) in enumerate(zip(q, t)):
+                p = p - ti * qi
+                rj[i] = rj[i] + ti
+        norm = np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
+        q.append(p / norm)
+        r.append(rj + [norm])
+    (r00,), (r01, r11), (r02, r12, r22) = ([x[..., 0] for x in rj] for rj in r)
+    diag = np.stack([r00, r11, r22])
+    ok = np.min(diag, axis=0) > 1e-13 * np.max(diag, axis=0)
+    return w, q, (r00, r01, r02, r11, r12, r22), k[..., 0], ok
 
 
-def _normal_equations(n, v, r, c2, s2):
-    # Normal equations of the design (1, c2, s2), weights n / (2 v^2) and
-    # right-hand side r, as the six matrix and three vector row sums.  Each
-    # row's v, then its weights, are scaled by the power of two of their
-    # largest entry: the solution keeps its bits, v * v cannot overflow and
-    # the determinant cannot underflow.
-    v = np.ldexp(v, -np.frexp(np.max(v, axis=-1, keepdims=True))[1])
-    w = n / (2.0 * v * v)
-    w = np.ldexp(w, -np.frexp(np.max(w, axis=-1, keepdims=True))[1])
-    wc, ws = w * c2, w * s2
-    m = [np.sum(x, axis=-1) for x in (w, wc, ws, wc * c2, wc * s2, ws * s2)]
-    b = [np.sum(w * r * col, axis=-1) for col in (1.0, c2, s2)]
-    return _solve3(*m, *b)
+def _lstsq_rows(var, n, y, c2, s2):
+    # The least-squares x of (1, c2, s2) x = y under weights n / (2 var^2):
+    # R x = Q^T (w y) on the factor of the whitened design; x = 0 where not ok.
+    w, q, (r00, r01, r02, r11, r12, r22), _, ok = qr_rows(var, n, c2, s2)
+    b = w * y
+    b0, b1, b2 = (np.sum(qi * b, axis=-1) for qi in q)
+    x2 = b2 / r22
+    x1 = (b1 - r12 * x2) / r11
+    x0 = (b0 - r01 * x1 - r02 * x2) / r00
+    return np.where(ok[:, None], np.stack([x0, x1, x2], axis=-1), 0.0), ok
 
 
 def loglik_rows(a, v, n, c2, s2):
-    # Gaussian log-likelihood of per-angle sample variances, constants dropped.
+    # Gaussian log-likelihood of per-angle sample variances in deviance form,
+    # -n/2 (log(s/v) + v/s - 1): the maximizer of the plain form, and a
+    # value that keeps its bits when s and v change units by a power of two.
     s = a[:, 0:1] + a[:, 1:2] * c2 + a[:, 2:3] * s2
     bad = np.any(s <= 0.0, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lik = np.sum(-0.5 * n * (np.log(s) + v / s), axis=-1)
+        x = v / s
+        lik = np.sum(-0.5 * n * (x - 1.0 - np.log(x)), axis=-1)
     return np.where(bad, -np.inf, lik)
 
 
@@ -75,16 +87,17 @@ def wls_fit_rows(v, n, c2, s2):
     # Weighted least squares with Var(v) = 2*sigma^4/n approximated by 2*v^2/n.
     ok = np.all(v > 0.0, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x0, x1, x2, solved = _normal_equations(n, v, v, c2, s2)
+        a, solved = _lstsq_rows(v, n, v, c2, s2)
     ok &= solved
-    a = np.where(ok[:, None], np.stack([x0, x1, x2], axis=-1), 0.0)
-    return a, ok
+    return np.where(ok[:, None], a, 0.0), ok
 
 
 def ml_fit_rows(v, n, c2, s2, max_iter, tol):
     # Fisher scoring with a per-row backtracking line search on the exact
-    # likelihood.  Rows leave the working set as soon as they stop, so
-    # converged rows cost nothing.
+    # likelihood.  A row stops when a step changes its deviance by less
+    # than tol * sum(n) / 2, the size of the plain log-likelihood at unit
+    # variances, so the test reads no units.  Rows leave the working set as
+    # soon as they stop, so converged rows cost nothing.
     v, c2, s2 = np.broadcast_arrays(v, c2, s2)
     n = np.broadcast_to(n, v.shape)
     rows = v.shape[0]
@@ -114,8 +127,7 @@ def ml_fit_rows(v, n, c2, s2, max_iter, tol):
         va, na, ca, sa, aa, la = v[idx], n[idx], c2[idx], s2[idx], a[idx], lik[idx]
         s = aa[:, 0:1] + aa[:, 1:2] * ca + aa[:, 2:3] * sa
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d0, d1, d2, ok = _normal_equations(na, s, va - s, ca, sa)
-        delta = np.stack([d0, d1, d2], axis=-1)
+            delta, ok = _lstsq_rows(s, na, va - s, ca, sa)
         step = np.ones(idx.size)
         new_lik = np.full(idx.size, -np.inf)
         accepted = np.zeros(idx.size, dtype=bool)
@@ -133,7 +145,7 @@ def ml_fit_rows(v, n, c2, s2, max_iter, tol):
             pending = pending[~take]
             step[pending] *= 0.5
         # a row that found no step has new_lik = -inf and is not done
-        done = np.abs(new_lik - la) < tol * np.maximum(1.0, np.abs(la))
+        done = np.abs(new_lik - la) < tol * 0.5 * np.sum(na, axis=-1)
         niter[idx[accepted]] = it + 1
         converged[idx[done]] = True
         a[idx[accepted]] = aa[accepted]

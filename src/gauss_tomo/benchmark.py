@@ -22,8 +22,10 @@ gamma-map points and crossover probes: a point draws a child seed from
 the root seed (sampling._child_seed) and runs the two cells of a
 one-cell exact-truth benchmark there.  _analytic_gammas serves analytic
 map cells and gamma_analytic: its homodyne core, _expected_hom_rows,
-evaluates the expected error of many states that share an angle count
-as stacked Fisher blocks, each state getting the bits it gets alone.
+evaluates the expected error of many states that share an angle count at
+once, from the QR factor of each protocol offset's whitened design
+(_kernels.qr_rows, the factor the homodyne fits solve on), each state
+getting the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .core import CovMat, DetectionModel, StateSpec, hs_distance, wigner_cov
 from .errors import ConfigError, GaussTomoError, SingularMatrix
 from .estimation import _estimate_het, _fit_het_rows, _fit_hom_rows, estimate_from_variances
@@ -47,7 +49,7 @@ from .sampling import (
 GAMMA_MIN_REPS = 30
 REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
-_BLOCK_CELLS = 16  # cells per stacked Fisher block: 16 x 64 offsets = 1024 3x3 matrices
+_BLOCK_CELLS = 16  # cells per block of _expected_hom_rows: 16 x 64 offsets = 1024 factored designs
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
 
 
@@ -302,19 +304,24 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     )
 
 
+def _het_error(sigma: CovMat, n_pairs: int) -> float:
+    # E[D_HS] of the sample covariance of n_pairs draws from sigma (expected_het_hs_error)
+    return 2.0 * (sigma.trace**2 - sigma.det) / n_pairs
+
+
 def expected_het_hs_error(state: StateSpec, det: DetectionModel, n_pairs: int) -> float:
     """Exact E[D_HS] of the heterodyne sample-covariance estimator.
 
     For the known-zero-mean sample covariance S of n draws from Sigma,
     Cov(S_ij, S_kl) = (Sigma_ik Sigma_jl + Sigma_il Sigma_jk)/n, which
     sums to E[D_HS] = (2/n) (Tr(Sigma)^2 - det(Sigma)).  Exact at every
-    n, not just asymptotically.
+    n, not just asymptotically.  Evaluated on Sigma scaled by 2^-k (see
+    _scaled_down) and multiplied back by 2^2k, so an error beyond the
+    float range reads inf, as in expected_hom_hs_error.
     """
-    sigma = det.recorded(wigner_cov(state), "het")
-    return 2.0 * (sigma.trace**2 - sigma.det) / n_pairs
-
-
-_HS_WEIGHTS = np.array([1.0, 2.0, 1.0])
+    k, (sigma,) = _scaled_down(det.recorded(wigner_cov(state), "het"))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_het_error(sigma, n_pairs), 2 * k))
 
 
 def _hom_offsets(m: int) -> np.ndarray:
@@ -322,100 +329,61 @@ def _hom_offsets(m: int) -> np.ndarray:
     return (np.arange(_OFFSET_POINTS) + 0.5) * (TWO_PI / m) / _OFFSET_POINTS
 
 
-def _inv_cells(info: np.ndarray) -> tuple:
-    """np.linalg.inv over a (B, P, 3, 3) stack of cells, and a (B,) mask of
-    the cells where LAPACK meets an exact zero pivot (their rows are NaN).
-    Such a pivot comes from entries so small that their det underflows to
-    0, which the det test lets through (mu = 1e150, lambda = 1e-4 at m = 3).
-    inv then raises for the whole stack, so only that case inverts cell
-    by cell."""
-    failed = np.zeros(len(info), dtype=bool)
-    try:
-        return np.linalg.inv(info), failed
-    except np.linalg.LinAlgError:
-        pass
-    inv = np.full_like(info, math.nan)
-    for i, cell in enumerate(info):
-        try:
-            inv[i] = np.linalg.inv(cell)
-        except np.linalg.LinAlgError:
-            failed[i] = True
-    return inv, failed
+def _scaled_down(*covs: CovMat) -> tuple:
+    """(k, covs times 2^-k), k the exponent of the largest variance among covs.
 
-
-def _near_singular(info: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The singularity test |det| < 1e-13 scale^3 of a stack of 3x3 Fisher
-    matrices, with det from np.linalg.det and scale the largest |entry|.
-
-    A closed-form det, a quarter of the cost of np.linalg.det, settles
-    the clear cases.  Where scale lies in [1e-90, 1e90], nothing below
-    overflows or underflows, and both dets lie within 2e-13 scale^3 of
-    the exact one (LU with partial pivoting has growth <= 4 at n = 3).
-    So a closed-form det >= 1e-9 scale^3 means np.linalg.det passes the
-    test as well.  Only the other matrices, every one with a non-finite
-    entry among them, go to np.linalg.det.
+    Both expected errors are of degree 2 in the recorded covariances, so
+    each changes by exactly 2^-2k and gamma keeps its bits, while every
+    entry is at most 1 and neither error overflows.
     """
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = np.moveaxis(
-        info.reshape(info.shape[:-2] + (9,)), -1, 0
-    )
-    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
-    check = ~((np.abs(det) >= 1e-9 * scale**3) & (scale >= 1e-90) & (scale <= 1e90))
-    near = np.zeros(scale.shape, dtype=bool)
-    sc = scale[check]
-    near[check] = (sc == 0.0) | (np.abs(np.linalg.det(info[check])) < 1e-13 * sc**3)
-    return near
+    k = math.frexp(max(max(g.g11, g.g22) for g in covs))[1]
+    return k, [CovMat(*(math.ldexp(x, -k) for x in (g.g11, g.g12, g.g22))) for g in covs]
 
 
-def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> tuple:
+def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> np.ndarray:
     """Asymptotic E[D_HS] of the homodyne ML estimator for C cells at once.
 
     g_noisy is a (C, 3) array of noisy homodyne covariances (g11, g12,
     g22); every cell shares the angle count m, the event budget and the
-    protocol offsets.  Returns (values, singular), both (C,): a cell's
-    value is the mean over offsets of the weighted trace of its inverse
-    Fisher information (see expected_hom_hs_error), and NaN where
-    singular is True.  An m with fewer than 3 angles distinct mod pi raises
-    SingularMatrix.
+    protocol offsets.  Returns the (C,) values, each the mean over offsets
+    of the weighted trace of the inverse Fisher information (see
+    expected_hom_hs_error), and NaN where that information is singular.
+    An m with fewer than 3 angles distinct mod pi raises SingularMatrix.
 
-    The angle grid is built once; cells are stacked _BLOCK_CELLS at a
-    time into (B, P, 3, 3) Fisher blocks with one det test and one inv
-    per block.  Each matrix gets the arithmetic it gets alone and each
-    cell sums its traces as a Python float in offset order, so a cell's
-    value does not depend on the other cells.  Variances that underflow
-    or overflow give NaN or singular cells, without numpy warnings.
+    Each (cell, offset) is one row of _kernels.qr_rows: the whitened
+    design sqrt(n_theta/2)/sigma_theta^2 (1, cos 2theta, sin 2theta) of
+    the model parameters a = ((g11 + g22)/2, (g11 - g22)/2, g12), whose
+    Gram matrix R^T R is the Fisher information of a.  Since (g11, g12,
+    g22) = T a with T^T H T = 2 I for the HS weights H = diag(1, 2, 1),
+    the weighted trace of the inverse Fisher information of g is
+    2 ||R^-1||_F^2, read from the closed-form inverse of the 3x3 triangle.
+    Cells go _BLOCK_CELLS at a time, which bounds the memory.  Every
+    operation is elementwise or a sum over one row, so a cell's value does
+    not depend on the other cells, and g times 2^k gives exactly 2^2k
+    times the value.
     """
     if _distinct_mod_pi(m) < 3:
         raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
     g = np.asarray(g_noisy, dtype=float).reshape(-1, 3)
     values = np.full(len(g), math.nan)
-    singular = np.zeros(len(g), dtype=bool)
-    n_theta = n_events / m
     th = offsets[:, None] + np.arange(m) * (TWO_PI / m)
-    c = np.cos(th)
-    s = np.sin(th)
-    u = np.stack([c * c, 2.0 * c * s, s * s], axis=-1)
+    c, s, c2, s2 = np.cos(th), np.sin(th), np.cos(2.0 * th), np.sin(2.0 * th)
     for lo in range(0, len(g), _BLOCK_CELLS):
         g11, g12, g22 = (col[:, None, None] for col in g[lo : lo + _BLOCK_CELLS].T)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
-            w = n_theta / (2.0 * sig2**2)
-            uw = np.empty(w.shape + (3,))  # u * w[..., None], one column at a time
-            for k in range(3):
-                np.multiply(u[..., k], w, out=uw[..., k])
-            info = np.swapaxes(uw, -1, -2) @ u
-            scale = np.abs(info).max(axis=(-2, -1))
-            bad = _near_singular(info, scale).any(axis=-1)
-            keep = np.flatnonzero(~bad)
-            inv, failed = _inv_cells(info[keep])
-            traces = np.sum(_HS_WEIGHTS * np.diagonal(inv, axis1=-2, axis2=-1), axis=-1)
-        bad[keep[failed]] = True
-        singular[lo : lo + len(bad)] = bad
-        for cell, row in zip(keep[~failed] + lo, traces[~failed].tolist()):
-            total = 0.0
-            for t in row:  # in offset order, as a Python float sum
-                total += t
-            values[cell] = total / offsets.size
-    return values, singular
+            _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / m, c2, s2)
+            r00, r01, r02, r11, r12, r22 = r
+            # columns of R^-1 by back substitution: 1/r00; (y0, y1); (x0, x1, x2)
+            y1 = 1.0 / r11
+            y0 = -r01 * y1 / r00
+            x2 = 1.0 / r22
+            x1 = -r12 * x2 / r11
+            x0 = -(r01 * x1 + r02 * x2) / r00
+            hs = 2.0 * (1.0 / r00**2 + y0**2 + y1**2 + x0**2 + x1**2 + x2**2)
+            hs = np.sum(np.ldexp(hs, 2 * k), axis=-1) / offsets.size
+        values[lo : lo + len(hs)] = np.where(np.all(ok, axis=-1), hs, math.nan)
+    return values
 
 
 def expected_hom_hs_error(
@@ -428,37 +396,38 @@ def expected_hom_hs_error(
     u u^T with u = (cos^2, sin 2theta, sin^2).  E[D_HS] is the weighted
     trace of the inverse, averaged over _OFFSET_POINTS protocol offsets to
     match the benchmark's random-offset draws.  The one-row view of
-    _expected_hom_rows: a state whose variances underflow or overflow
-    gives NaN or SingularMatrix, without numpy warnings.
+    _expected_hom_rows, on the recorded covariance scaled by 2^-k (see
+    _scaled_down) and multiplied back by 2^2k: a singular Fisher
+    information raises SingularMatrix, and an error beyond the float
+    range reads inf.
     """
     m = int(angle_count)
-    g = det.recorded(wigner_cov(state), "hom")
-    values, singular = _expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, _hom_offsets(m))
-    if singular[0]:
+    k, (g,) = _scaled_down(det.recorded(wigner_cov(state), "hom"))
+    value = _expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, _hom_offsets(m))
+    if np.isnan(value[0]):
         raise SingularMatrix("Fisher information is singular for this protocol")
-    return float(values[0])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value[0], 2 * k))
 
 
 def _analytic_gammas(states: list, det: DetectionModel, m: int) -> list:
     """gamma_analytic of each state: the heterodyne side state by state,
-    the homodyne side of all states in one _expected_hom_rows call.  A
-    state gets NaN where its heterodyne error overflows or its Fisher
-    information is singular; a protocol with fewer than 3 angles distinct
+    the homodyne side of all states in one _expected_hom_rows call, both
+    on the state's recorded covariances scaled by one power of two
+    (_scaled_down).  A state gets NaN where its Fisher information is
+    singular, its recorded covariance is not finite or its gamma lies
+    beyond the float range; a protocol with fewer than 3 angles distinct
     mod pi raises SingularMatrix."""
-    gammas, live, het, g_rows = [math.nan] * len(states), [], [], []
-    for i, state in enumerate(states):
-        try:
-            het.append(expected_het_hs_error(state, det, _GAMMA_EVENTS))
-        except OverflowError:
-            continue
-        g = det.recorded(wigner_cov(state), "hom")
+    het, g_rows = [], []
+    for state in states:
+        g_w = wigner_cov(state)
+        _, (sigma, g) = _scaled_down(det.recorded(g_w, "het"), det.recorded(g_w, "hom"))
+        het.append(_het_error(sigma, _GAMMA_EVENTS))
         g_rows.append((g.g11, g.g12, g.g22))
-        live.append(i)
-    hom, singular = _expected_hom_rows(g_rows, m, _GAMMA_EVENTS, _hom_offsets(m))
-    for i, het_err, hom_err, bad in zip(live, het, hom.tolist(), singular.tolist()):
-        if not bad:
-            gammas[i] = het_err / hom_err
-    return gammas
+    hom = _expected_hom_rows(g_rows, m, _GAMMA_EVENTS, _hom_offsets(m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gammas = np.array(het) / hom
+    return np.where(np.isfinite(gammas), gammas, math.nan).tolist()
 
 
 def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> float:
@@ -469,9 +438,9 @@ def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> f
     states at eta=1 this reduces to 6 (mu+1)^2 / (20 mu^2): 1.2 at the
     vacuum, crossing 1 near mu = 1.211, tending to 0.3 for bright
     thermal states.  The one-state view of _analytic_gammas: NaN where the
-    state fails numerically (an overflowing heterodyne error or a singular
-    Fisher information), SingularMatrix for a protocol with fewer than 3
-    angles distinct mod pi.
+    state fails numerically (a singular Fisher information, or a recorded
+    covariance or a gamma beyond the float range), SingularMatrix for a
+    protocol with fewer than 3 angles distinct mod pi.
     """
     return _analytic_gammas([state], det, int(angle_count))[0]
 

@@ -224,6 +224,9 @@ def _load_ini(path) -> dict:
                 key = f"{section}.{name}"
                 if key not in _INI_KEYS:
                     raise ConfigError(f"unknown config key {name!r} in section [{section}]")
+                # no setting takes a NUL, and as a path it makes open() raise ValueError
+                if "\0" in raw:
+                    raise ConfigError(f"config key {key}: NUL character in {raw!r}")
                 values[key] = raw
     except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser's messages span several lines; errors print as one

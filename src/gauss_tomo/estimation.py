@@ -211,7 +211,7 @@ def _estimate_hom(
     if cause == ZERO_VARIANCE:
         raise DegenerateVariance("zero sample variance at some angle")
     if cause == SINGULAR_WLS:
-        raise Underdetermined("weighted normal equations are singular")
+        raise Underdetermined("weighted design is rank-deficient")
     diag = Diagnostics(
         int(rows.iters[0]),
         bool(rows.converged[0]),

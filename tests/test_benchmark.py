@@ -28,9 +28,9 @@ DET1 = DetectionModel(1.0)
 
 
 def hom_error_at(state, det, m, n_events, offset):
-    # the homodyne expected error at one protocol offset, from the stacked core
+    # the homodyne expected error at one protocol offset, from the row core
     g = det.recorded(wigner_cov(state), "hom")
-    values, _ = benchmark._expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, np.array([offset]))
+    values = benchmark._expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, np.array([offset]))
     return float(values[0])
 
 
@@ -146,9 +146,9 @@ class TestRunBenchmark:
 
 class TestBrightStates:
     def test_bright_homodyne_fits_match_a_dimmer_state(self):
-        # homodyne weights ~ 1/v^2 underflowed the normal equations at
-        # mu = 1e80; with per-row weight scaling every fit succeeds and
-        # gamma is the one of mu = 1e40
+        # homodyne weights ~ 1/v^2 once underflowed at mu = 1e80; with
+        # each row's design scaled by a power of two every fit succeeds
+        # and gamma is the one of mu = 1e40
         def gamma(mu):
             cfg = small_cfg(state=StateSpec(mu, 1.0), sample_sizes=(1500,), angle_counts=(5,),
                             repetitions=30, seed=0)
@@ -163,11 +163,69 @@ class TestBrightStates:
 
     def test_float_limit_homodyne_draws_fit(self):
         # at mu 1e300, lambda 1e6 the per-angle variances drawn at n 1500
-        # no longer overflow, so only the 2 of 30 fits that fail at any mu
-        # (singular WLS start, stalled ML) fail here
+        # do not overflow, and every fit succeeds, as at mu 1
         cfg = small_cfg(state=StateSpec(1e300, 1e6), sample_sizes=(1500,), angle_counts=(5,),
                         repetitions=30, seed=0)
-        assert run_benchmark(cfg).hom[(1500, 5)].failed == 2
+        assert run_benchmark(cfg).hom[(1500, 5)].failed == 0
+
+
+# The homodyne expected error at 1e6 events and gamma_analytic (eta 1,
+# orientation 0), from a 60-digit mpmath inverse of the same Fisher
+# matrices: the recorded covariance and the protocol angles as float64,
+# their cosines and everything after in mpmath.
+_MPMATH = [
+    # mu, lambda, m, homodyne error, gamma
+    (1.0, 1e2, 5, 0.03850886213826873, 0.53515110693235588),
+    (1.0, 1e3, 5, 3.8500088600213862, 0.52103984144879525),
+    (1.0, 1e4, 5, 385.00000886000024, 0.5196363724587575),
+    (1.0, 1e6, 5, 3850000.0000088602, 0.51948207792296033),
+    (1.0, 1e2, 3, 0.075005000750000014, 0.27475581619802859),
+    (1e150, 1e4, 5, 3.8500000886000027e302, 0.51948051272052612),
+    (1e150, 1e-4, 5, 3.8500000886000012e302, 0.51948051272052616),
+    (1e150, 1e-4, 3, 7.5000000499999974e302, 0.26666666755555561),
+]
+
+
+class TestStrongSqueezing:
+    def test_no_homodyne_fit_fails(self):
+        # the weighted design stays well conditioned enough for every fit
+        for lam in (1e2, 1e3, 1e4, 1e6):
+            cfg = small_cfg(state=StateSpec(1.0, lam), sample_sizes=(1500,), angle_counts=(5,),
+                            repetitions=1000, seed=0)
+            assert run_benchmark(cfg).hom[(1500, 5)].failed == 0, lam
+
+    def test_monte_carlo_gamma_matches_the_exact_value(self):
+        cfg = small_cfg(state=StateSpec(1.0, 100.0), sample_sizes=(1500,), angle_counts=(5,),
+                        repetitions=2000, seed=1)
+        report = run_benchmark(cfg)
+        value, stderr = report.gamma[(1500, 5)]
+        assert report.hom[(1500, 5)].failed == 0
+        assert abs(value - _MPMATH[0][4]) <= 3.0 * stderr
+
+    def test_analytic_values_match_mpmath(self):
+        for mu, lam, m, hom, gamma in _MPMATH:
+            state = StateSpec(mu, lam)
+            got = expected_hom_hs_error(state, DET1, m, benchmark._GAMMA_EVENTS)
+            assert got == pytest.approx(hom, rel=1e-12), (mu, lam, m)
+            assert gamma_analytic(state, DET1, m) == pytest.approx(gamma, rel=1e-12), (mu, lam, m)
+
+    def test_scaled_covariances_scale_the_expected_error_exactly(self):
+        # g times 2^k gives 2^2k times the homodyne error, bit for bit
+        rng = np.random.default_rng(5)
+        det = DetectionModel(0.85, CovMat(0.01, 0.0, 0.01))
+        for m in (3, 5, 10):
+            offsets = benchmark._hom_offsets(m)
+            g = []
+            for _ in range(20):
+                state = StateSpec(rng.uniform(0.2, 10.0), 10 ** rng.uniform(0.0, 4.0),
+                                  rng.uniform(0.0, 3.0))
+                rec = det.recorded(wigner_cov(state), "hom")
+                g.append([rec.g11, rec.g12, rec.g22])
+            base = benchmark._expected_hom_rows(g, m, 10_000, offsets)
+            assert np.all(np.isfinite(base))
+            for k in (-400, -37, 1, 250, 400):
+                got = benchmark._expected_hom_rows(np.ldexp(g, k), m, 10_000, offsets)
+                assert np.array_equal(got, np.ldexp(base, 2 * k)), (m, k)
 
 
 class TestRunCell:
@@ -268,12 +326,12 @@ def test_random_streams_are_pinned(tmp_path):
                     exact_truth=False, reference_size=60_000)
     rep = run_benchmark(cfg)
     assert rep.reference == {
-        "hom": [1.0060304758772234, 0.008472911919710557, 1.0161002661723382],
+        "hom": [1.0060304758772234, 0.008472911919710566, 1.0161002661723382],
         "het": [0.9907695626713535, 0.006443796960285235, 0.9983184541369463],
     }
     assert rep.gamma == {(600, 5): (1.3262061261324436, 0.2117962106095123)}
     rows = gamma_map([1.5], [2.0], DET1, n_events=600, angle_count=5, repetitions=30, seed=3)
-    assert rows == [{"mu": 1.5, "lambda": 2.0, "gamma": 0.7661430567472113}]
+    assert rows == [{"mu": 1.5, "lambda": 2.0, "gamma": 0.7661415201202706}]
     out = tmp_path / "h.csv"
     argv = ["simulate", "--angles", "5", "--samples", "10", "--seed", "4", "--out", str(out)]
     assert cli.main(argv) == 0
@@ -307,8 +365,8 @@ class TestExpectedErrors:
         assert mc == pytest.approx(want, rel=0.1)
 
     def test_hom_matches_per_offset_loop(self):
-        # the per-offset loop the stacked Fisher matrices replaced, kept as
-        # the reference; same arithmetic, so the same bits
+        # the per-offset loop of Fisher-matrix inverses, kept as the
+        # reference; the factored design differs from it in rounding only
         def per_offset(state, det, m, n_events, offsets):
             g = to_homodyne_cov(wigner_cov(state), det) + det.g_elec
             total = 0.0
@@ -328,29 +386,16 @@ class TestExpectedErrors:
                 state = StateSpec(rng.uniform(0.2, 8.0), rng.uniform(1.0, 15.0), rng.uniform(0, 3))
                 offsets = (np.arange(64) + 0.5) * (2.0 * np.pi / m) / 64
                 got = expected_hom_hs_error(state, det, m, 10_000)
-                assert got == per_offset(state, det, m, 10_000, offsets)
+                assert got == pytest.approx(per_offset(state, det, m, 10_000, offsets), rel=1e-13)
                 got = hom_error_at(state, det, m, 10_000, 0.3)
-                assert got == per_offset(state, det, m, 10_000, [0.3])
+                assert got == pytest.approx(per_offset(state, det, m, 10_000, [0.3]), rel=1e-13)
 
-    def test_near_singular_matches_lapack_det_test(self):
-        # The closed-form pre-check must give the decision of the plain test
-        # on every matrix: well and badly conditioned, at the threshold,
-        # tiny, huge, zero and non-finite.
-        rng = np.random.default_rng(3)
-        mats = []
-        for ratio in np.geomspace(1e-17, 1.0, 60):
-            for scale in (1e-300, 1e-120, 1e-60, 1.0, 1e60, 1e120, 1e300):
-                q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-                mats.append(scale * (q * [1.0, rng.uniform(ratio, 1.0), ratio]) @ q.T)
-        mats += [np.zeros((3, 3)), np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]),
-                 np.eye(3) * 5e-324, np.diag([1.0, 1.0, 0.0])]
-        info = np.array(mats).reshape(-1, 5, 3, 3)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            scale = np.abs(info).max(axis=(-2, -1))
-            want = (scale == 0.0) | (np.abs(np.linalg.det(info)) < 1e-13 * scale**3)
-            got = benchmark._near_singular(info, scale)
-        assert 0 < want.sum() < want.size
-        assert np.array_equal(got, want)
+    def test_errors_beyond_the_float_range_read_inf(self):
+        # both errors grow as mu^2: at mu 1e200 they are 1e400 over n
+        bright = StateSpec(1e200, 1.0)
+        assert expected_het_hs_error(bright, DET1, 1000) == math.inf
+        assert expected_hom_hs_error(bright, DET1, 5, 1000) == math.inf
+        assert expected_het_hs_error(StateSpec(1e100, 1.0), DET1, 1000) == pytest.approx(6e197)
 
     def test_hom_iso_closed_form(self):
         # isotropic states: expected HS error is 20 sigma^4 / n for any m >= 3
@@ -385,9 +430,11 @@ class TestGammaAnalytic:
         assert gamma_analytic(StateSpec(1e6, 1.0), DET1, 10) == pytest.approx(0.3, rel=1e-4)
 
     def test_failing_states_give_nan(self):
-        # a singular Fisher information, then an overflowing heterodyne error
-        assert math.isnan(gamma_analytic(StateSpec(1e150, 1e-4), DET1, 3))
-        assert math.isnan(gamma_analytic(StateSpec(1e200, 1.0), DET1, 5))
+        # a recorded covariance beyond the float range, then a gamma beyond
+        # it: at eta 1 the homodyne error of mu 1e-300 is 1e-600 that of
+        # the heterodyne one
+        assert math.isnan(gamma_analytic(StateSpec(1e300, 1e10), DET1, 5))
+        assert math.isnan(gamma_analytic(StateSpec(1e-300, 1.0), DET1, 5))
 
     def test_two_angles_mod_pi_raise(self):
         with pytest.raises(SingularMatrix):

@@ -275,9 +275,10 @@ class TestGammaMapCommand:
         assert stdout == ""
 
     def test_overflowing_cell_is_nan(self, tmp_path, capsys):
+        # at mu 1e300, lambda 1e300 the major variance mu * lambda overflows
         out = tmp_path / "map"
         code, _, err = run(
-            capsys, "gamma-map", "--analytic", "--grid", "1x2",
+            capsys, "gamma-map", "--analytic", "--grid", "1x2", "--mu-range", "1e300:1e300",
             "--lambda-range", "1:1e300", "--out", str(out),
         )
         assert code == 0, err
@@ -427,6 +428,15 @@ class TestConfigFile:
         assert err == (f"error: ConfigError: cannot parse config file {ini}: "
                        + message.format(ini=ini) + "\n")
 
+    def test_nul_in_a_value_is_config_error(self, tmp_path, capsys):
+        # a NUL in the output path made open() raise ValueError, a traceback
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nout = a\0b\n")
+        code, stdout, err = run(capsys, "simulate", "--config", str(ini), "--samples", "10")
+        assert code == 2
+        assert err == "error: ConfigError: config key run.out: NUL character in 'a\\x00b'\n"
+        assert stdout == ""
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[extras]\na = 1\n")
@@ -563,9 +573,10 @@ def test_flag_the_command_does_not_read_exits_2(capsys, argv):
       "1e-300,1.0,nan\n"),
      (["benchmark", "--mu", "1e-200", "--exact-truth", "--samples", "1500", "--angles", "5",
        "--reps", "30"], "gamma=nan (stderr nan, analytic nan)\n"),
-     # a bright state: the heterodyne error overflows a Python float
+     # a bright state: the distances overflow, the analytic gamma is the
+     # bright-thermal limit
      (["benchmark", "--mu", "1e200", "--exact-truth", "--samples", "1500", "--angles", "5",
-       "--reps", "30"], "dhs_het=inf gamma=nan (stderr nan, analytic nan)\n")],
+       "--reps", "30"], "dhs_het=inf gamma=nan (stderr nan, analytic 0.3)\n")],
     ids=["gamma-map-analytic", "benchmark", "benchmark-bright"],
 )
 def test_underflowing_state_gives_nan_without_warnings(capsys, argv, tail):

@@ -1,5 +1,6 @@
-"""The sinusoidal-model fit kernels on rows: exactness, optimality, the 3x3
-solve, and row-by-row equivalence with a per-problem reference fit."""
+"""The sinusoidal-model fit kernels on rows: exactness, optimality, the QR
+factor of the whitened design, and row-by-row equivalence with solo fits and
+with a per-problem reference fit."""
 
 import numpy as np
 
@@ -26,99 +27,58 @@ def make_rows(rng, rows, m=10, n_per=1000):
     return [np.stack(x) for x in zip(*(make_problem(rng, m, n_per) for _ in range(rows)))]
 
 
-# The per-problem kernel the row kernel replaced, kept verbatim as the
-# reference that each row must reproduce bit for bit.
+# The per-problem reference each row is held to: the same Fisher scoring,
+# written one problem at a time, whose every solve is a float64
+# np.linalg.lstsq of the whitened design sqrt(n/2)/sigma^2 (1, c2, s2).
 
 
-def _seed_solve3(m00, m01, m02, m11, m12, m22, b0, b1, b2):
-    det = (
-        m00 * (m11 * m22 - m12 * m12)
-        - m01 * (m01 * m22 - m12 * m02)
-        + m02 * (m01 * m12 - m11 * m02)
-    )
-    big = max(abs(m00), abs(m01), abs(m02), abs(m11), abs(m12), abs(m22))
-    if not abs(det) > 1e-13 * big * big * big:
-        return 0.0, 0.0, 0.0, False
-    x0 = (
-        b0 * (m11 * m22 - m12 * m12)
-        - m01 * (b1 * m22 - m12 * b2)
-        + m02 * (b1 * m12 - m11 * b2)
-    ) / det
-    x1 = (
-        m00 * (b1 * m22 - m12 * b2)
-        - b0 * (m01 * m22 - m12 * m02)
-        + m02 * (m01 * b2 - b1 * m02)
-    ) / det
-    x2 = (
-        m00 * (m11 * b2 - b1 * m12)
-        - m01 * (m01 * b2 - b1 * m02)
-        + b0 * (m01 * m12 - m11 * m02)
-    ) / det
-    return x0, x1, x2, True
+def _ref_lstsq(var, n, y, c2, s2):
+    w = np.sqrt(0.5 * n) / var
+    x, *_ = np.linalg.lstsq(w[:, None] * np.stack([np.ones_like(c2), c2, s2], axis=-1),
+                            w * y, rcond=None)
+    return x
 
 
-def _seed_loglik(a0, a1, a2, v, n, c2, s2):
-    s = a0 + a1 * c2 + a2 * s2
+def _ref_loglik(a, v, n, c2, s2):
+    s = a[0] + a[1] * c2 + a[2] * s2
     if np.any(s <= 0.0):
         return -np.inf
-    return float(np.sum(-0.5 * n * (np.log(s) + v / s)))
+    return float(np.sum(-0.5 * n * (v / s - 1.0 - np.log(v / s))))
 
 
-def _seed_wls_fit(v, n, c2, s2):
-    if np.any(v <= 0.0):
-        return np.zeros(3), False
-    w = n / (2.0 * v * v)
-    cols = (np.ones_like(c2), c2, s2)
-    m = [float(np.sum(w * cols[j] * cols[k])) for j in range(3) for k in range(j, 3)]
-    b = [float(np.sum(w * v * cols[j])) for j in range(3)]
-    x0, x1, x2, ok = _seed_solve3(m[0], m[1], m[2], m[3], m[4], m[5], b[0], b[1], b[2])
-    return np.array([x0, x1, x2]), ok
-
-
-def _seed_ml_fit(v, n, c2, s2, max_iter, tol):
-    a, ok = _seed_wls_fit(v, n, c2, s2)
-    lik = _seed_loglik(a[0], a[1], a[2], v, n, c2, s2) if ok else -np.inf
-    if not ok or lik == -np.inf:
-        den = float(np.sum(n))
-        num = float(np.sum(n * v))
-        if den <= 0.0 or num <= 0.0:
-            return np.zeros(3), -np.inf, 0, False
-        a = np.array([num / den, 0.0, 0.0])
-        lik = _seed_loglik(a[0], a[1], a[2], v, n, c2, s2)
-
-    cols = (np.ones_like(c2), c2, s2)
+def _ref_ml_fit(v, n, c2, s2, max_iter, tol):
+    a = _ref_lstsq(v, n, v, c2, s2)
+    lik = _ref_loglik(a, v, n, c2, s2)
+    if lik == -np.inf:
+        a = np.array([np.sum(n * v) / np.sum(n), 0.0, 0.0])
+        lik = _ref_loglik(a, v, n, c2, s2)
     converged = False
     niter = 0
     for it in range(max_iter):
         s = a[0] + a[1] * c2 + a[2] * s2
-        w = n / (2.0 * s * s)
-        r = v - s
-        m = [float(np.sum(w * cols[j] * cols[k])) for j in range(3) for k in range(j, 3)]
-        g = [float(np.sum(w * r * cols[j])) for j in range(3)]
-        d0, d1, d2, ok = _seed_solve3(m[0], m[1], m[2], m[3], m[4], m[5], g[0], g[1], g[2])
-        if not ok:
-            break
-        delta = np.array([d0, d1, d2])
+        delta = _ref_lstsq(s, n, v - s, c2, s2)
         step = 1.0
-        new_lik = -np.inf
-        accepted = False
         for _ in range(60):
             cand = a + step * delta
-            new_lik = _seed_loglik(cand[0], cand[1], cand[2], v, n, c2, s2)
+            new_lik = _ref_loglik(cand, v, n, c2, s2)
             if new_lik >= lik:
                 a = cand
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         niter = it + 1
-        if abs(new_lik - lik) < tol * max(1.0, abs(lik)):
+        if abs(new_lik - lik) < tol * 0.5 * np.sum(n):
             lik = new_lik
             converged = True
             break
         lik = new_lik
     return a, lik, niter, converged
+
+
+def _assert_matches_reference(a, lik, ref):
+    assert np.abs(a - ref[0]).max() <= 1e-12 * np.abs(ref[0]).max()
+    assert abs(lik - ref[1]) <= 1e-12 * max(1.0, abs(ref[1]))
 
 
 def test_loglik_rejects_nonpositive_variance():
@@ -158,27 +118,38 @@ def test_ml_recovers_wls_start_gradient_zero():
     assert np.all(np.max(np.abs(grad), axis=-1) < 1e-6 * scale)
 
 
-def test_solve3_matches_numpy():
+def test_qr_matches_numpy():
+    # every row's factor at variances 2^-600 to 2^600: w is the weight of
+    # the variances scaled by 2^-k, |R| is what np.linalg.qr gives for the
+    # design w (1, c2, s2), Q R is that design and Q is orthonormal
     rng = np.random.default_rng(16)
-    a = rng.normal(size=(100, 3, 3))
-    m = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(3)
-    b = rng.normal(size=(100, 3))
-    x0, x1, x2, ok = _kernels._solve3(
-        m[:, 0, 0], m[:, 0, 1], m[:, 0, 2], m[:, 1, 1], m[:, 1, 2], m[:, 2, 2],
-        b[:, 0], b[:, 1], b[:, 2],
-    )
+    v, n, c2, s2 = make_rows(rng, 100)
+    v *= np.ldexp(1.0, rng.integers(-600, 600, (100, 1)))
+    w, q, r, k, ok = _kernels.qr_rows(v, n, c2, s2)
     assert np.all(ok)
-    np.testing.assert_allclose(
-        np.stack([x0, x1, x2], axis=-1), np.linalg.solve(m, b[..., None])[..., 0], rtol=1e-8
-    )
+    assert np.array_equal(w, np.sqrt(0.5 * n) / np.ldexp(v, -k[:, None]))
+    design = w[..., None] * np.stack([np.ones_like(c2), c2, s2], axis=-1)
+    upper = np.zeros((100, 3, 3))
+    upper[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]] = np.stack(r, axis=-1)
+    tol = 1e-13 * upper[:, 0:1, 0:1]  # r00 is the norm of the first column
+    assert np.all(np.abs(np.abs(upper) - np.abs(np.linalg.qr(design)[1])) <= tol)
+    qs = np.stack(q, axis=-1)
+    assert np.all(np.abs(qs @ upper - design) <= tol)
+    assert np.all(np.abs(np.swapaxes(qs, -1, -2) @ qs - np.eye(3)) <= 1e-14)
 
 
-def test_solve3_flags_singular():
-    ones = np.ones(2)
-    m = (ones, ones, ones, np.array([1.0, 2.0]), ones, np.array([1.0, 3.0]))
-    x0, x1, x2, ok = _kernels._solve3(*m, ones, ones, ones)
-    assert ok.tolist() == [False, True]
-    assert (x0[0], x1[0], x2[0]) == (0.0, 0.0, 0.0)
+def test_qr_flags_rank_deficient_rows():
+    # two angles distinct mod pi, two distinct only by 1e-14, then a
+    # well-posed row: the first two are flagged, and WLS fails on them
+    th = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-14, 1.0 + np.pi],
+                   [0.0, 1.0, 2.0, 3.0]])
+    v, n, c2, s2 = np.ones((3, 4)), np.full(4, 10.0), np.cos(2.0 * th), np.sin(2.0 * th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = _kernels.qr_rows(v, n, c2, s2)[-1]
+    assert ok.tolist() == [False, False, True]
+    a, solved = _kernels.wls_fit_rows(v, n, c2, s2)
+    assert solved.tolist() == [False, False, True]
+    assert np.all(a[:2] == 0.0)
 
 
 def _mixed_batch():
@@ -203,16 +174,18 @@ def _mixed_batch():
 def test_rows_match_solo_and_per_problem_fits():
     v, n, c2, s2 = _mixed_batch()
     for max_iter in (1, 10_000):
-        batch = _kernels.ml_fit_rows(v, n, c2, s2, max_iter, 1e-10)
-        a, lik, iters, conv = batch
+        a, lik, iters, conv = _kernels.ml_fit_rows(v, n, c2, s2, max_iter, 1e-10)
         for r in range(v.shape[0]):
             solo = _kernels.ml_fit_rows(v[r : r + 1], n[r], c2[r : r + 1], s2[r : r + 1],
                                         max_iter, 1e-10)
-            seed = _seed_ml_fit(v[r], n[r], c2[r], s2[r], max_iter, 1e-10)
-            for got in ([x[0] for x in solo], seed):
-                assert np.array_equal(a[r], got[0]), (max_iter, r)
-                assert lik[r] == got[1] or (np.isnan(lik[r]) and np.isnan(got[1]))
-                assert (iters[r], conv[r]) == (got[2], got[3]), (max_iter, r)
+            assert np.array_equal(a[r], solo[0][0]), (max_iter, r)
+            assert lik[r] == solo[1][0] or (np.isnan(lik[r]) and np.isnan(solo[1][0]))
+            assert (iters[r], conv[r]) == (solo[2][0], solo[3][0]), (max_iter, r)
+        # rows 2 and 3 have no least-squares solution to compare with
+        for r in (0, 1, 4):
+            ref = _ref_ml_fit(v[r], n[r], c2[r], s2[r], max_iter, 1e-10)
+            _assert_matches_reference(a[r], lik[r], ref)
+            assert (iters[r], conv[r]) == ref[2:], (max_iter, r)
         if max_iter == 1:
             # every row that moved needs more than one step
             assert not np.any(conv)
@@ -231,7 +204,11 @@ def test_rows_match_per_problem_fits_on_random_batch():
     for m, n_per in ((5, 3), (10, 50), (15, 1000)):
         v, n, c2, s2 = make_rows(rng, 60, m=m, n_per=n_per)
         a, lik, iters, conv = _kernels.ml_fit_rows(v, n[0], c2, s2, 10_000, 1e-10)
+        a_wls, ok = _kernels.wls_fit_rows(v, n[0], c2, s2)
+        assert np.all(ok)
         for r in range(v.shape[0]):
-            seed = _seed_ml_fit(v[r], n[r], c2[r], s2[r], 10_000, 1e-10)
-            assert np.array_equal(a[r], seed[0])
-            assert (lik[r], iters[r], conv[r]) == seed[1:]
+            want = _ref_lstsq(v[r], n[r], v[r], c2[r], s2[r])
+            assert np.abs(a_wls[r] - want).max() <= 1e-12 * np.abs(want).max()
+            ref = _ref_ml_fit(v[r], n[r], c2[r], s2[r], 10_000, 1e-10)
+            _assert_matches_reference(a[r], lik[r], ref)
+            assert (iters[r], conv[r]) == ref[2:]
