@@ -46,11 +46,11 @@ def qr_rows(var, n, c2, s2):
     for p in (w, w * c2, w * s2):
         rj = [0.0] * len(q)
         for _ in range(2):  # classical Gram-Schmidt, then once more
-            t = [np.sum(qi * p, axis=-1, keepdims=True) for qi in q]
+            t = [np.add.reduce(qi * p, axis=-1, keepdims=True) for qi in q]
             for i, (qi, ti) in enumerate(zip(q, t)):
                 p = p - ti * qi
                 rj[i] = rj[i] + ti
-        norm = np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
+        norm = np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
         q.append(p / norm)
         r.append(rj + [norm])
     (r00,), (r01, r11), (r02, r12, r22) = ([x[..., 0] for x in rj] for rj in r)
@@ -64,7 +64,7 @@ def _lstsq_rows(var, n, y, c2, s2):
     # R x = Q^T (w y) on the factor of the whitened design; x = 0 where not ok.
     w, q, (r00, r01, r02, r11, r12, r22), _, ok = qr_rows(var, n, c2, s2)
     b = w * y
-    b0, b1, b2 = (np.sum(qi * b, axis=-1) for qi in q)
+    b0, b1, b2 = (np.add.reduce(qi * b, axis=-1) for qi in q)
     x2 = b2 / r22
     x1 = (b1 - r12 * x2) / r11
     x0 = (b0 - r01 * x1 - r02 * x2) / r00
@@ -79,7 +79,7 @@ def loglik_rows(a, v, n, c2, s2):
     bad = np.any(s <= 0.0, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = v / s
-        lik = np.sum(-0.5 * n * (x - 1.0 - np.log(x)), axis=-1)
+        lik = np.add.reduce(-0.5 * n * (x - 1.0 - np.log(x)), axis=-1)
     return np.where(bad, -np.inf, lik)
 
 

@@ -12,10 +12,13 @@ no events are drawn: a homodyne repetition draws its m per-angle
 variances sigma^2 chi2_n / n, a heterodyne one its sample covariance
 from Wishart(N, Sigma) / N.  Each cell, (N, m) homodyne or N
 heterodyne, derives its own generator from (root seed, cell index) and
-draws all its repetitions from it, so reports are bit-identical for any
-worker count.  A cell is then fitted as one batch: its R repetitions are
-the rows of one call to the row estimator cores, which give each row the
-result it would get alone, and are projected and scored as arrays.
+draws all its repetitions from it.  One block runner, _run_cells, serves
+every Monte Carlo cell: the homodyne repetitions of all cells in a block
+that share (detection model, m) are the rows of one call to the row
+estimator core, the heterodyne ones of another, and all rows are scored
+as one array.  The cores give each row the result it would get alone, so
+reports are bit-identical for any blocking and any worker count; blocks
+hold at most _BLOCK_ROWS repetitions, which bounds the memory.
 
 Each gamma method has one evaluator.  _mc_gammas serves Monte Carlo
 gamma-map points and crossover probes: a point draws a child seed from
@@ -50,6 +53,7 @@ GAMMA_MIN_REPS = 30
 REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
 _BLOCK_CELLS = 16  # cells per block of _expected_hom_rows: 16 x 64 offsets = 1024 factored designs
+_BLOCK_ROWS = 2048  # repetitions per block of _run_cells: bounds the rows its fits hold at once
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
 
 
@@ -194,30 +198,45 @@ def _references(cfg: BenchmarkConfig) -> tuple:
     return hom, het
 
 
-def _run_cell(cell) -> np.ndarray:
-    """All repetitions of a cell (g_w, det, n, m, reps, seed, key, ref):
+def _run_cells(cells: list) -> list:
+    """All repetitions of each cell (g_w, det, n, m, reps, seed, key, ref):
     (n, m) homodyne, or n heterodyne when m = 0.
 
-    Draws from _rng(seed, *key), fits and scores all repetitions against
-    ref as one batch of rows.  Returns one distance per repetition, NaN
-    where the fit failed or did not converge.  A bright state's inf and
-    NaN values end there or in the distance, without numpy warnings.
+    Each cell draws from its own _rng(seed, *key), in cell order.  The
+    homodyne rows of all cells that share (det, m) are fitted in one
+    _fit_hom_rows call, the heterodyne rows of all cells that share det in
+    one _fit_het_rows call, and all rows are scored against their cell's
+    ref in one hs_distance call.  Every row gets the bits it gets when
+    fitted alone, so a cell's result does not depend on the other cells.
+    Returns one distance array per cell, NaN where the fit failed or did
+    not converge.  A bright state's inf and NaN values end there or in the
+    distance, without numpy warnings.
     """
-    g_w, det, n, m, reps, seed, key, ref = cell
-    rng = _rng(seed, *key)
+    bounds = np.cumsum([0] + [cell[4] for cell in cells])
+    draws, groups = [], {}
+    cov = np.empty((bounds[-1], 3))
+    ok = np.ones(bounds[-1], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        if m:
-            angles = rng.uniform(0.0, TWO_PI / m, (reps, 1)) + np.arange(m) * (TWO_PI / m)
-            v = draw_homodyne_variances(g_w, det, angles, n // m, rng)
-            counts = np.full(m, n // m, dtype=float)
-            rows = _fit_hom_rows(angles, v, counts, det, "ml")
-            cov, ok = rows.cov, rows.converged
-        else:
-            s = draw_heterodyne_covs(g_w, det, n, reps, rng)
-            cov, _ = _fit_het_rows(s, n, det)
-            ok = np.ones(reps, dtype=bool)
-        dhs = hs_distance(CovMat(*cov.T), ref)
-    return np.where(ok, dhs, math.nan)
+        for i, (g_w, det, n, m, reps, seed, key, _) in enumerate(cells):
+            rng = _rng(seed, *key)
+            if m:
+                angles = rng.uniform(0.0, TWO_PI / m, (reps, 1)) + np.arange(m) * (TWO_PI / m)
+                v = draw_homodyne_variances(g_w, det, angles, n // m, rng)
+                draws.append((angles, v, np.full((reps, m), n // m, dtype=float)))
+            else:
+                draws.append((draw_heterodyne_covs(g_w, det, n, reps, rng), np.full(reps, n)))
+            groups.setdefault((det, m), []).append(i)
+        for (det, m), idx in groups.items():
+            rows = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in idx])
+            stacked = [np.concatenate(x) for x in zip(*(draws[i] for i in idx))]
+            if m:
+                fit = _fit_hom_rows(*stacked, det, "ml")
+                cov[rows], ok[rows] = fit.cov, fit.converged
+            else:
+                cov[rows] = _fit_het_rows(*stacked, det)[0]
+        refs = np.repeat([[c[7].g11, c[7].g12, c[7].g22] for c in cells], np.diff(bounds), axis=0)
+        dhs = hs_distance(CovMat(*cov.T), CovMat(*refs.T))
+    return np.split(np.where(ok, dhs, math.nan), bounds[1:-1])
 
 
 def _aggregate(values: list) -> CellStats:
@@ -249,15 +268,33 @@ def _versions() -> dict:
     return {"artifact": __version__, "numpy": np.__version__}
 
 
-def _map_cells(fn, cells: list, workers: int) -> list:
-    """[fn(cell) for cell in cells], in order, on a process pool when
-    workers > 1.  The pool gets at most one process per cell and per CPU:
-    every result depends only on its cell, never on the worker count."""
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+def _blocks(cells: list, parts: int) -> list:
+    """cells cut into contiguous blocks of at most _BLOCK_ROWS repetitions,
+    and of at most 1/parts of all repetitions, so that parts processes all
+    get work; a cell larger than that is a block of its own."""
+    cap = min(_BLOCK_ROWS, -(-sum(cell[4] for cell in cells) // parts))
+    blocks, rows = [], cap
+    for cell in cells:
+        if rows + cell[4] > cap:
+            blocks.append([])
+            rows = 0
+        blocks[-1].append(cell)
+        rows += cell[4]
+    return blocks
+
+
+def _map_cells(cells: list, workers: int) -> list:
+    """[_run_cells([cell])[0] for cell in cells], computed block by block
+    (_blocks), on a process pool when workers > 1.  The pool gets at most
+    one process per block and per CPU: every result depends only on its
+    cell, never on the blocks or the worker count."""
+    workers = max(1, min(workers, os.cpu_count() or 1))
+    blocks = _blocks(cells, workers)
+    workers = min(workers, len(blocks))
     if workers <= 1:
-        return [fn(cell) for cell in cells]
+        return [dhs for block in blocks for dhs in _run_cells(block)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
+        return [dhs for done in pool.map(_run_cells, blocks) for dhs in done]
 
 
 def _mc_gammas(points: list, det: DetectionModel, n: int, m: int, reps: int, seed: int,
@@ -272,7 +309,7 @@ def _mc_gammas(points: list, det: DetectionModel, n: int, m: int, reps: int, see
             (g_w, det, n, m, reps, point_seed, (_DOM_UNIT_HOM, 0, 0), g_w),
             (g_w, det, n, 0, reps, point_seed, (_DOM_UNIT_HET, 0), g_w),
         ]
-    dhs = _map_cells(_run_cell, cells, workers)
+    dhs = _map_cells(cells, workers)
     return [_gamma(_aggregate(hom), _aggregate(het))[0] for hom, het in zip(dhs[::2], dhs[1::2])]
 
 
@@ -289,7 +326,7 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
         for i_m, m in enumerate(cfg.angle_counts):
             cells[(n, m)] = (g_w, det, n, m, reps, seed, (_DOM_UNIT_HOM, i_n, i_m), ref_hom)
         cells[n] = (g_w, det, n, 0, reps, seed, (_DOM_UNIT_HET, i_n), ref_het)
-    dhs = _map_cells(_run_cell, list(cells.values()), workers)
+    dhs = _map_cells(list(cells.values()), workers)
     stats = {key: _aggregate(d) for key, d in zip(cells, dhs)}
     het_stats = {n: stats.pop(n) for n in cfg.sample_sizes}
     gamma = {(n, m): _gamma(st, het_stats[n]) for (n, m), st in stats.items()}

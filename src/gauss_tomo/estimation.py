@@ -130,9 +130,11 @@ def extract_params(g: CovMat) -> StateSpec:
 
 
 def _distinct_angles(th: np.ndarray) -> np.ndarray:
-    # per row, the number of angles distinct modulo pi (to 1e-9 rad)
-    f = np.sort(np.round(np.mod(th, math.pi), 9), axis=-1)
-    return np.count_nonzero(f[:, 1:] != f[:, :-1], axis=-1) + (f.shape[-1] > 0)
+    # per row, the number of angles distinct modulo pi: the gaps above 1e-9 rad
+    # between neighbours on the circle of circumference pi, the wrap gap included
+    f = np.sort(np.mod(th, math.pi), axis=-1)
+    gaps = np.diff(f, axis=-1, append=f[:, :1] + math.pi)
+    return np.count_nonzero(gaps > 1e-9, axis=-1)
 
 
 def _angle_variances(d: HomodyneDataset) -> list:
@@ -155,24 +157,25 @@ class HomRows(NamedTuple):
 
 def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -> HomRows:
     """The one homodyne core: rows of (angles, variances), shape (R, m),
-    with shared counts (m,) to PSD Wigner covariances, fitted by ML
-    ("ml") or WLS ("wls").  A row that cannot be fitted is reported in
-    failed instead of raising."""
+    with counts shared (m,) or per row (R, m), to PSD Wigner covariances,
+    fitted by ML ("ml") or WLS ("wls").  A row that cannot be fitted is
+    reported in failed instead of raising."""
     th = np.asarray(angles, dtype=float)
     v = np.asarray(variances, dtype=float)
     n = np.asarray(counts, dtype=float)
-    if th.ndim != 2 or v.shape != th.shape or n.shape != th.shape[1:]:
+    if th.ndim != 2 or v.shape != th.shape or n.shape not in (th.shape, th.shape[1:]):
         raise ValueError("angles, variances and counts must have equal length")
     if method not in ("ml", "wls"):
         raise ValueError(f"method must be 'ml' or 'wls', got {method!r}")
     rows = th.shape[0]
+    n = np.broadcast_to(n, th.shape)
     failed = np.select(
-        [_distinct_angles(th) < 3, np.any(n < 2), np.any(v <= 0.0, axis=-1)],
+        [_distinct_angles(th) < 3, np.any(n < 2, axis=-1), np.any(v <= 0.0, axis=-1)],
         [FEW_ANGLES, FEW_SAMPLES, ZERO_VARIANCE],
         FITTED,
     )
     fit = np.flatnonzero(failed == FITTED)
-    vf, c2, s2 = v[fit], np.cos(2.0 * th[fit]), np.sin(2.0 * th[fit])
+    vf, n, c2, s2 = v[fit], n[fit], np.cos(2.0 * th[fit]), np.sin(2.0 * th[fit])
     if method == "ml":
         a, lik, iters, converged = _kernels.ml_fit_rows(vf, n, c2, s2, ML_MAX_ITER, ML_TOL)
     else:
@@ -243,12 +246,12 @@ def estimate_homodyne_wls(d: HomodyneDataset, det: DetectionModel) -> EstimateRe
     return _estimate_hom(d.angles, _angle_variances(d), d.counts, det, "wls", dict(d.meta))
 
 
-def _fit_het_rows(s, n: int, det: DetectionModel) -> tuple[np.ndarray, np.ndarray]:
+def _fit_het_rows(s, n, det: DetectionModel) -> tuple[np.ndarray, np.ndarray]:
     """The one heterodyne core: known-zero-mean sample covariances s,
-    shape (R, 2, 2), of n pairs each to PSD Wigner covariances (R, 3)
-    and clip flags."""
-    if n < 2:
-        raise TooFewSamples(f"need >= 2 pairs, got {n}")
+    shape (R, 2, 2), of n pairs each (shared, or one count per row) to
+    PSD Wigner covariances (R, 3) and clip flags."""
+    if np.any(np.asarray(n) < 2):
+        raise TooFewSamples(f"need >= 2 pairs, got {np.min(n)}")
     s = np.asarray(s, dtype=float)
     if s.ndim != 3 or s.shape[1:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {s.shape[1:]}")

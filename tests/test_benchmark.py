@@ -233,7 +233,7 @@ class TestRunCell:
         cfg = small_cfg(sample_sizes=(600,), angle_counts=(5,), repetitions=40)
         g = wigner_cov(VAC)
         cell = (g, DET1, 600, 5, 40, cfg.seed, (benchmark._DOM_UNIT_HOM, 0, 0), g)
-        clean = benchmark._run_cell(cell)
+        (clean,) = benchmark._run_cells([cell])
         draw = benchmark.draw_homodyne_variances
 
         def draw_with_zero(*args):
@@ -242,7 +242,7 @@ class TestRunCell:
             return v
 
         monkeypatch.setattr(benchmark, "draw_homodyne_variances", draw_with_zero)
-        dhs = benchmark._run_cell(cell)
+        (dhs,) = benchmark._run_cells([cell])
         assert np.isnan(dhs[3])
         assert not np.any(np.isnan(clean))
         assert np.array_equal(np.delete(dhs, 3), np.delete(clean, 3))
@@ -259,10 +259,52 @@ class TestRunCell:
         point_seed = benchmark._child_seed(seed, benchmark._DOM_MAP_CELL, 1, 0)
         hom = (g, DET1, 600, 5, 30, point_seed, (benchmark._DOM_UNIT_HOM, 0, 0), g)
         het = (g, DET1, 600, 0, 30, point_seed, (benchmark._DOM_UNIT_HET, 0), g)
-        stats = [benchmark._aggregate(benchmark._run_cell(cell)) for cell in (hom, het)]
+        stats = [benchmark._aggregate(dhs) for dhs in benchmark._run_cells([hom, het])]
         value, stderr = benchmark._gamma(*stats)
         assert rows[1] == {"mu": 1.5, "lambda": 2.0, "gamma": value}
         assert math.isfinite(value) and stderr > 0.0
+
+    def test_blocks_do_not_change_the_cells(self, monkeypatch):
+        # one block, one cell per block and the pool's blocks give the same
+        # bits: cells of three states, two detection models, two N, and
+        # heterodyne and two m at each, a bright state's NaN rows among them
+        dets = (DET1, DetectionModel(0.85, CovMat(0.01, 0.0, 0.01)))
+        cells = []
+        for i, (state, det) in enumerate([(VAC, dets[0]), (StateSpec(2.0, 5.0, 0.3), dets[1]),
+                                          (StateSpec(1e305, 1e3), dets[0])]):
+            g = wigner_cov(state)
+            for n in (600, 1500):
+                for m in (0, 5, 15):
+                    key = (benchmark._DOM_UNIT_HOM if m else benchmark._DOM_UNIT_HET, i, n, m)
+                    cells.append((g, det, n, m, 20 + m, 7, key, g))
+        one = benchmark._run_cells(cells)
+        assert len(benchmark._blocks(cells, 1)) == 1
+        assert any(np.isnan(dhs).any() for dhs in one)
+        assert any(np.isfinite(dhs).all() for dhs in one)
+        assert len(benchmark._blocks(cells, 2)) > 1
+        pooled = benchmark._map_cells(cells, 2)
+        monkeypatch.setattr(benchmark, "_BLOCK_ROWS", 1)
+        assert len(benchmark._blocks(cells, 1)) == len(cells)
+        single = benchmark._map_cells(cells, 1)
+        for got in (pooled, single):
+            assert len(got) == len(one)
+            for a, b in zip(got, one):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_map_fits_stay_under_the_row_cap(self, monkeypatch):
+        # a 12x12 Monte Carlo map fits its 28800 homodyne rows in blocks
+        calls = []
+        fit = benchmark._fit_hom_rows
+
+        def counted(angles, *args):
+            calls.append(len(angles))
+            return fit(angles, *args)
+
+        monkeypatch.setattr(benchmark, "_fit_hom_rows", counted)
+        gamma_map(np.linspace(0.5, 4.0, 12), np.linspace(1.0, 8.0, 12), DET1, n_events=600,
+                  angle_count=5, repetitions=200, seed=2)
+        assert sum(calls) == 144 * 200
+        assert 1 < len(calls) and max(calls) <= benchmark._BLOCK_ROWS
 
     def test_map_and_crossover_build_no_benchmark(self, monkeypatch):
         # Monte Carlo points and crossover probes run their cells directly:

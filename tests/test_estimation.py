@@ -26,7 +26,9 @@ from gauss_tomo import (
     sample_homodyne,
     wigner_cov,
 )
-from gauss_tomo.estimation import estimate_from_variances
+from gauss_tomo.estimation import (
+    FEW_SAMPLES, FITTED, ZERO_VARIANCE, _fit_hom_rows, estimate_from_variances,
+)
 from gauss_tomo.sampling import HeterodyneDataset, HomodyneDataset, draw_homodyne_variances
 
 STATE = StateSpec(4.46, 6.49, 1.1)
@@ -136,6 +138,12 @@ class TestHomodyneEstimators:
             estimate_homodyne_ml(d, DET)
         with pytest.raises(Underdetermined):
             estimate_homodyne_wls(d, DET)
+
+    def test_angles_across_the_wrap_are_one_angle(self):
+        # 0 and pi - 1e-12 are one angle modulo pi, so only two are distinct
+        with pytest.raises(Underdetermined, match="^2 angle"):
+            estimate_from_variances([0.0, math.pi / 3, math.pi - 1e-12], [1.0, 2.0, 1.0001],
+                                    [100] * 3, DetectionModel())
 
     def test_too_few_samples(self):
         angles = (0.1, 1.0, 2.0)
@@ -266,6 +274,31 @@ def test_shifted_angles_rotate_the_estimate(
     want = np.array([w[0, 0], w[0, 1], w[1, 1]])
     got = _fit_or_skip(angles + phi, v, counts, method)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method", ["ml", "wls"])
+def test_rows_with_per_row_counts_match_each_cell_alone(method):
+    # cells of different N stacked with per-row counts give every cell the
+    # bits it gets alone; a zero variance and a count below 2 fail one row
+    rng = np.random.default_rng(17)
+    m, cells = 5, []
+    for n_per, reps in ((3, 12), (120, 15), (3000, 10)):
+        angles = rng.uniform(0.0, 2 * math.pi / m, (reps, 1)) + np.arange(m) * (2 * math.pi / m)
+        v = draw_homodyne_variances(G_W, DET, angles, n_per, rng)
+        cells.append([angles, v, np.full((reps, m), float(n_per))])
+    cells[1][1][4, 2] = 0.0
+    cells[2][2][3, 1] = 1.0
+    batch = _fit_hom_rows(*(np.concatenate(x) for x in zip(*cells)), DET, method)
+    lo = 0
+    for angles, v, counts in cells:
+        shared = counts[0] if np.all(counts == counts[0]) else counts
+        alone = _fit_hom_rows(angles, v, shared, DET, method)
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[lo : lo + len(v)], want, equal_nan=True)
+        lo += len(v)
+    causes = np.full(lo, FITTED)
+    causes[12 + 4], causes[12 + 15 + 3] = ZERO_VARIANCE, FEW_SAMPLES
+    assert batch.failed.tolist() == causes.tolist()
 
 
 class TestHeterodyneEstimator:
