@@ -26,16 +26,15 @@ the root seed (sampling._child_seed) and runs the two cells of a
 one-cell exact-truth benchmark there.  _analytic_gammas serves analytic
 map cells and gamma_analytic: its homodyne core, _expected_hom_rows,
 evaluates the expected error of many states that share an angle count at
-once, from the QR factor of each protocol offset's whitened design
-(_kernels.qr_rows, the factor the homodyne fits solve on), each state
-getting the bits it gets alone.
+once, from the QR factor of each protocol offset's whitened design on the
+angles distinct mod pi (_kernels.qr_rows, the factor the homodyne fits
+solve on), each state getting the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ from .sampling import (
 GAMMA_MIN_REPS = 30
 REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
-_BLOCK_CELLS = 16  # cells per block of _expected_hom_rows: 16 x 64 offsets = 1024 factored designs
+_BLOCK_ENTRIES = 1 << 14  # cells x offsets x distinct angles per block of _expected_hom_rows
 _BLOCK_ROWS = 2048  # repetitions per block of _run_cells: bounds the rows its fits hold at once
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
 
@@ -293,6 +292,8 @@ def _map_cells(cells: list, workers: int) -> list:
     workers = min(workers, len(blocks))
     if workers <= 1:
         return [dhs for block in blocks for dhs in _run_cells(block)]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: imported on use
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [dhs for done in pool.map(_run_cells, blocks) for dhs in done]
 
@@ -341,9 +342,24 @@ def run_benchmark(cfg: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     )
 
 
-def _het_error(sigma: CovMat, n_pairs: int) -> float:
-    # E[D_HS] of the sample covariance of n_pairs draws from sigma (expected_het_hs_error)
-    return 2.0 * (sigma.trace**2 - sigma.det) / n_pairs
+def _scaled_records(states: list, det: DetectionModel) -> dict:
+    """scheme -> (k, rows): each state's recorded covariance, an (S, 3) row
+    (g11, g12, g22), times 2^-k, k the exponent of its larger variance.  Both
+    expected errors are of degree 2 in it, so each changes by exactly 2^-2k,
+    while every entry is at most 1 and neither error overflows."""
+    g_w = np.reshape([(g.g11, g.g12, g.g22) for g in map(wigner_cov, states)], (-1, 3))
+    records = {}
+    for scheme in ("het", "hom"):
+        g = det.recorded(CovMat(*g_w.T), scheme)
+        k = np.frexp(np.maximum(g.g11, g.g22))[1]
+        records[scheme] = k, np.ldexp(np.stack([g.g11, g.g12, g.g22], axis=-1), -k[:, None])
+    return records
+
+
+def _het_error(sigma: np.ndarray, n_pairs: int) -> np.ndarray:
+    # E[D_HS] of the n_pairs-draw sample covariance of each row of sigma (expected_het_hs_error)
+    g = CovMat(*sigma.T)
+    return 2.0 * (g.trace * g.trace - g.det) / n_pairs
 
 
 def expected_het_hs_error(state: StateSpec, det: DetectionModel, n_pairs: int) -> float:
@@ -352,29 +368,18 @@ def expected_het_hs_error(state: StateSpec, det: DetectionModel, n_pairs: int) -
     For the known-zero-mean sample covariance S of n draws from Sigma,
     Cov(S_ij, S_kl) = (Sigma_ik Sigma_jl + Sigma_il Sigma_jk)/n, which
     sums to E[D_HS] = (2/n) (Tr(Sigma)^2 - det(Sigma)).  Exact at every
-    n, not just asymptotically.  Evaluated on Sigma scaled by 2^-k (see
-    _scaled_down) and multiplied back by 2^2k, so an error beyond the
-    float range reads inf, as in expected_hom_hs_error.
+    n, not just asymptotically.  The one-row view of _scaled_records:
+    evaluated on Sigma scaled by 2^-k and multiplied back by 2^2k, so an
+    error beyond the float range reads inf, as in expected_hom_hs_error.
     """
-    k, (sigma,) = _scaled_down(det.recorded(wigner_cov(state), "het"))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_het_error(sigma, n_pairs), 2 * k))
+    k, sigma = _scaled_records([state], det)["het"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.ldexp(_het_error(sigma, n_pairs), 2 * k)[0])
 
 
 def _hom_offsets(m: int) -> np.ndarray:
     # the _OFFSET_POINTS protocol offsets the expected homodyne error averages over
     return (np.arange(_OFFSET_POINTS) + 0.5) * (TWO_PI / m) / _OFFSET_POINTS
-
-
-def _scaled_down(*covs: CovMat) -> tuple:
-    """(k, covs times 2^-k), k the exponent of the largest variance among covs.
-
-    Both expected errors are of degree 2 in the recorded covariances, so
-    each changes by exactly 2^-2k and gamma keeps its bits, while every
-    entry is at most 1 and neither error overflows.
-    """
-    k = math.frexp(max(max(g.g11, g.g22) for g in covs))[1]
-    return k, [CovMat(*(math.ldexp(x, -k) for x in (g.g11, g.g12, g.g22))) for g in covs]
 
 
 def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> np.ndarray:
@@ -390,26 +395,31 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
     Each (cell, offset) is one row of _kernels.qr_rows: the whitened
     design sqrt(n_theta/2)/sigma_theta^2 (1, cos 2theta, sin 2theta) of
     the model parameters a = ((g11 + g22)/2, (g11 - g22)/2, g12), whose
-    Gram matrix R^T R is the Fisher information of a.  Since (g11, g12,
-    g22) = T a with T^T H T = 2 I for the HS weights H = diag(1, 2, 1),
-    the weighted trace of the inverse Fisher information of g is
-    2 ||R^-1||_F^2, read from the closed-form inverse of the 3x3 triangle.
-    Cells go _BLOCK_CELLS at a time, which bounds the memory.  Every
+    Gram matrix R^T R is the Fisher information of a.  For even m, theta +
+    pi has the variance and design row of theta, so the design holds only
+    the d = _distinct_mod_pi(m) angles offset + j 2pi/m, j < d, each with
+    n_theta = n_events/d.  Since (g11, g12, g22) = T a with T^T H T = 2 I
+    for the HS weights H = diag(1, 2, 1), the weighted trace of the inverse
+    Fisher information of g is 2 ||R^-1||_F^2, read from the closed-form
+    inverse of the 3x3 triangle.  A block holds at least one cell and at
+    most _BLOCK_ENTRIES design entries, which bounds the memory.  Every
     operation is elementwise or a sum over one row, so a cell's value does
     not depend on the other cells, and g times 2^k gives exactly 2^2k
     times the value.
     """
-    if _distinct_mod_pi(m) < 3:
+    d = _distinct_mod_pi(m)
+    if d < 3:
         raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
     g = np.asarray(g_noisy, dtype=float).reshape(-1, 3)
     values = np.full(len(g), math.nan)
-    th = offsets[:, None] + np.arange(m) * (TWO_PI / m)
+    th = offsets[:, None] + np.arange(d) * (TWO_PI / m)
     c, s, c2, s2 = np.cos(th), np.sin(th), np.cos(2.0 * th), np.sin(2.0 * th)
-    for lo in range(0, len(g), _BLOCK_CELLS):
-        g11, g12, g22 = (col[:, None, None] for col in g[lo : lo + _BLOCK_CELLS].T)
+    cells = max(1, _BLOCK_ENTRIES // th.size)
+    for lo in range(0, len(g), cells):
+        g11, g12, g22 = (col[:, None, None] for col in g[lo : lo + cells].T)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
-            _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / m, c2, s2)
+            _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / d, c2, s2)
             r00, r01, r02, r11, r12, r22 = r
             # columns of R^-1 by back substitution: 1/r00; (y0, y1); (x0, x1, x2)
             y1 = 1.0 / r11
@@ -433,37 +443,33 @@ def expected_hom_hs_error(
     u u^T with u = (cos^2, sin 2theta, sin^2).  E[D_HS] is the weighted
     trace of the inverse, averaged over _OFFSET_POINTS protocol offsets to
     match the benchmark's random-offset draws.  The one-row view of
-    _expected_hom_rows, on the recorded covariance scaled by 2^-k (see
-    _scaled_down) and multiplied back by 2^2k: a singular Fisher
+    _scaled_records and _expected_hom_rows, on the recorded covariance
+    scaled by 2^-k and multiplied back by 2^2k: a singular Fisher
     information raises SingularMatrix, and an error beyond the float
     range reads inf.
     """
     m = int(angle_count)
-    k, (g,) = _scaled_down(det.recorded(wigner_cov(state), "hom"))
-    value = _expected_hom_rows([g.g11, g.g12, g.g22], m, n_events, _hom_offsets(m))
+    k, g = _scaled_records([state], det)["hom"]
+    value = _expected_hom_rows(g, m, n_events, _hom_offsets(m))
     if np.isnan(value[0]):
         raise SingularMatrix("Fisher information is singular for this protocol")
     with np.errstate(over="ignore"):
-        return float(np.ldexp(value[0], 2 * k))
+        return float(np.ldexp(value, 2 * k)[0])
 
 
 def _analytic_gammas(states: list, det: DetectionModel, m: int) -> list:
-    """gamma_analytic of each state: the heterodyne side state by state,
-    the homodyne side of all states in one _expected_hom_rows call, both
-    on the state's recorded covariances scaled by one power of two
-    (_scaled_down).  A state gets NaN where its Fisher information is
-    singular, its recorded covariance is not finite or its gamma lies
-    beyond the float range; a protocol with fewer than 3 angles distinct
-    mod pi raises SingularMatrix."""
-    het, g_rows = [], []
-    for state in states:
-        g_w = wigner_cov(state)
-        _, (sigma, g) = _scaled_down(det.recorded(g_w, "het"), det.recorded(g_w, "hom"))
-        het.append(_het_error(sigma, _GAMMA_EVENTS))
-        g_rows.append((g.g11, g.g12, g.g22))
-    hom = _expected_hom_rows(g_rows, m, _GAMMA_EVENTS, _hom_offsets(m))
+    """gamma_analytic of each state, as arrays over the states: the
+    heterodyne and homodyne errors of the scaled recorded covariances
+    (_scaled_records), the homodyne side in one _expected_hom_rows call, and
+    their ratio times 2^2(k_het - k_hom).  A state gets NaN where its Fisher
+    information is singular, its recorded covariance is not finite or its
+    gamma lies beyond the float range; a protocol with fewer than 3 angles
+    distinct mod pi raises SingularMatrix."""
+    records = _scaled_records(states, det)
+    (k_het, sigma), (k_hom, g) = records["het"], records["hom"]
+    hom = _expected_hom_rows(g, m, _GAMMA_EVENTS, _hom_offsets(m))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gammas = np.array(het) / hom
+        gammas = np.ldexp(_het_error(sigma, _GAMMA_EVENTS) / hom, 2 * (k_het - k_hom))
     return np.where(np.isfinite(gammas), gammas, math.nan).tolist()
 
 

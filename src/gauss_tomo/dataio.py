@@ -291,8 +291,7 @@ def write_report_json(path, config: dict, body: dict) -> dict:
     payload = {"config": _json_safe(config), **_json_safe(body)}
     payload["config_sha256"] = canonical_config_hash(payload["config"])
     with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 

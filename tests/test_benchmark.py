@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -432,6 +433,42 @@ class TestExpectedErrors:
                 got = hom_error_at(state, det, m, 10_000, 0.3)
                 assert got == pytest.approx(per_offset(state, det, m, 10_000, [0.3]), rel=1e-13)
 
+    def test_even_angle_counts_fold_onto_the_angles_distinct_mod_pi(self):
+        # The core factors only the m/2 angles distinct mod pi, each with the
+        # events of both theta and theta + pi.  The reference sums each offset's
+        # Fisher matrix of (g11, g12, g22) over all m angles and inverts it in
+        # exact rational arithmetic, from the float weights and design rows:
+        # at lambda 1e3 a float64 inverse of that matrix can be off by 1e-10.
+        def all_angles(g, m, n_events, offsets):
+            g11, g12, g22 = g
+            total = Fraction(0)
+            for off in offsets:
+                f = [Fraction(0)] * 6  # (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+                for j in range(m):
+                    th = off + j * (2.0 * np.pi / m)
+                    c, s = math.cos(th), math.sin(th)
+                    w = Fraction(n_events / m / (2.0 * (g11 * c * c + 2.0 * g12 * c * s
+                                                        + g22 * s * s) ** 2))
+                    u = [Fraction(c * c), Fraction(2.0 * c * s), Fraction(s * s)]
+                    for i, (p, q) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))):
+                        f[i] += w * u[p] * u[q]
+                f00, f01, f02, f11, f12, f22 = f
+                cof = (f11 * f22 - f12 * f12, f00 * f22 - f02 * f02, f00 * f11 - f01 * f01)
+                det = f00 * cof[0] - f01 * (f01 * f22 - f12 * f02) + f02 * (f01 * f12 - f11 * f02)
+                total += (cof[0] + 2 * cof[1] + cof[2]) / det
+            return float(total / len(offsets))
+
+        rng = np.random.default_rng(11)
+        det = DetectionModel(0.85, CovMat(0.01, 0.0, 0.01))
+        for m in (6, 10, 20, 100):
+            offsets = rng.uniform(0.0, 2.0 * np.pi / m, 3)
+            for lam in (1.0, 10.0, 100.0, 1e3):
+                state = StateSpec(rng.uniform(0.2, 8.0), lam, rng.uniform(0.0, 3.0))
+                g = det.recorded(wigner_cov(state), "hom")
+                g = (g.g11, g.g12, g.g22)
+                got = benchmark._expected_hom_rows([g], m, 10_000, offsets)[0]
+                assert got == pytest.approx(all_angles(g, m, 10_000, offsets), rel=1e-12), (m, lam)
+
     def test_errors_beyond_the_float_range_read_inf(self):
         # both errors grow as mu^2: at mu 1e200 they are 1e400 over n
         bright = StateSpec(1e200, 1.0)
@@ -495,7 +532,7 @@ class TestGammaMap:
     def test_analytic_map_matches_per_cell_gamma(self):
         # The map stacks its cells into Fisher blocks; every cell must equal the
         # scalar gamma_analytic bit for bit, and be NaN where that call raises.
-        # 37 cells per map: two full 16-cell blocks and one partial block.
+        # 37 cells per map: at m = 15, blocks of 17, 17 and 3 cells.
         # mu = 1e150 at lambda 1e-4 or 1e4 has a Fisher stack whose det
         # underflows and whose inverse meets an exact zero pivot at m = 3.
         mus = np.append(np.geomspace(1e-300, 1e200, 36), 1e150)
@@ -516,6 +553,28 @@ class TestGammaMap:
                                 assert math.isnan(row["gamma"])
                             else:
                                 assert row["gamma"] == want
+
+    def test_analytic_blocks_stay_under_the_entry_budget(self, monkeypatch):
+        # the designs are factored on the angles distinct mod pi, in blocks of at
+        # most _BLOCK_ENTRIES entries; a cell larger than that is a block of its own
+        shapes = []
+        qr = benchmark._kernels.qr_rows
+
+        def counted(var, *args):
+            shapes.append(var.shape)
+            return qr(var, *args)
+
+        monkeypatch.setattr(benchmark._kernels, "qr_rows", counted)
+        gamma_map(np.linspace(0.5, 4.0, 12), np.linspace(1.0, 8.0, 12), DET1, angle_count=10,
+                  analytic=True)
+        assert sum(shape[0] for shape in shapes) == 144
+        assert all(shape[1:] == (benchmark._OFFSET_POINTS, 5) for shape in shapes)
+        assert 1 < len(shapes) and max(math.prod(x) for x in shapes) <= benchmark._BLOCK_ENTRIES
+        shapes.clear()
+        m = 2 * (benchmark._BLOCK_ENTRIES // benchmark._OFFSET_POINTS + 1)
+        rows = gamma_map([1.0, 2.0, 3.0], [1.0], DET1, angle_count=m, analytic=True)
+        assert shapes == [(1, benchmark._OFFSET_POINTS, m // 2)] * 3
+        assert all(math.isfinite(row["gamma"]) for row in rows)
 
     def test_empirical_map_needs_30_reps(self):
         with pytest.raises(ConfigError):

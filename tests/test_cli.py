@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -536,7 +537,7 @@ class TestWorkers:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bm, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(bm.os, "cpu_count", lambda: 3)
         huge = ["--workers", "1000000"]
         # 2 sample sizes x (1 hom + 1 het) = 4 cells, 3 CPUs
@@ -645,15 +646,20 @@ print(json.dumps(steps))
 """
 
 
-def test_only_gaussianity_loads_scipy(tmp_path):
-    # A fresh interpreter: scipy stays unloaded until the Gaussianity battery runs.
+def run_fresh(script, tmp_path):
+    # the JSON a script prints, run in a fresh interpreter on this source tree
     src = str(Path(gauss_tomo.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START], cwd=tmp_path, capture_output=True, text=True,
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
+    return json.loads(proc.stdout)
+
+
+def test_only_gaussianity_loads_scipy(tmp_path):
+    # A fresh interpreter: scipy stays unloaded until the Gaussianity battery runs.
+    assert run_fresh(_COLD_START, tmp_path) == [
         ["import gauss_tomo", False],
         ["import gauss_tomo.cli", False],
         ["simulate", 0, False],
@@ -662,4 +668,33 @@ def test_only_gaussianity_loads_scipy(tmp_path):
         ["benchmark", 0, False],
         ["gamma-map", 0, False],
         ["gaussianity", 0, True],
+    ]
+
+
+_SERIAL_START = """
+import contextlib, io, json, sys
+
+def pool_loaded():
+    return "multiprocessing" in sys.modules
+
+from gauss_tomo import cli
+steps = [["import gauss_tomo.cli", pool_loaded()]]
+for argv in (
+    ["benchmark", "--samples", "600", "--angles", "5", "--reps", "10", "--exact-truth",
+     "--workers", "1", "--out", "b"],
+    ["gamma-map", "--analytic", "--grid", "2x2", "--mu-range", "1:2", "--lambda-range", "1:3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, pool_loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_serial_runs_load_no_process_pool(tmp_path):
+    # A fresh interpreter: only a run that starts a pool imports multiprocessing.
+    assert run_fresh(_SERIAL_START, tmp_path) == [
+        ["import gauss_tomo.cli", False],
+        ["benchmark", 0, False],
+        ["gamma-map", 0, False],
     ]
