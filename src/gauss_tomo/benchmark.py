@@ -28,7 +28,9 @@ map cells and gamma_analytic: its homodyne core, _expected_hom_rows,
 evaluates the expected error of many states that share an angle count at
 once, from the QR factor of each protocol offset's whitened design on the
 angles distinct mod pi (_kernels.qr_rows, the factor the homodyne fits
-solve on), each state getting the bits it gets alone.
+solve on), each state getting the bits it gets alone.  Below 128 distinct
+angles its grid has the angle axis outermost in memory, so that qr_rows'
+sums over the angles are slab adds, not one short strided sum per row.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ GAMMA_MIN_REPS = 30
 REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
 _BLOCK_ENTRIES = 1 << 14  # cells x offsets x distinct angles per block of _expected_hom_rows
+_SLAB_ANGLES = 128  # fewer distinct angles than this are summed as slab adds (_expected_hom_rows)
 _BLOCK_ROWS = 2048  # repetitions per block of _run_cells: bounds the rows its fits hold at once
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
 
@@ -401,36 +404,51 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
     n_theta = n_events/d.  Since (g11, g12, g22) = T a with T^T H T = 2 I
     for the HS weights H = diag(1, 2, 1), the weighted trace of the inverse
     Fisher information of g is 2 ||R^-1||_F^2, read from the closed-form
-    inverse of the 3x3 triangle.  A block holds at least one cell and at
-    most _BLOCK_ENTRIES design entries, which bounds the memory.  Every
-    operation is elementwise or a sum over one row, so a cell's value does
-    not depend on the other cells, and g times 2^k gives exactly 2^2k
-    times the value.
+    inverse of the 3x3 triangle.
+
+    A block holds whole offsets of one or more cells and at most
+    _BLOCK_ENTRIES design entries (one offset's d, if more), which bounds
+    the memory at any m; the per-offset values are summed once, at the end.
+    Below _SLAB_ANGLES angles the grid has its angle axis outermost in
+    memory, a layout every elementwise result keeps, so each sum over the
+    angles in qr_rows is d slab adds, not one short strided sum per (cell,
+    offset); from d = 8 on, that in-order sum differs in the last bit from
+    numpy's pairwise one.  Longer rows stay contiguous: their own sums cost
+    little, and the pairwise sum's rounding grows as log d, not d.  Every
+    operation is elementwise or a sum over one row, and the offsets per
+    block and the layout depend on m alone, so a cell's value does not
+    depend on the other cells, and g times 2^k gives exactly 2^2k times
+    the value.
     """
     d = _distinct_mod_pi(m)
     if d < 3:
         raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
     g = np.asarray(g_noisy, dtype=float).reshape(-1, 3)
-    values = np.full(len(g), math.nan)
-    th = offsets[:, None] + np.arange(d) * (TWO_PI / m)
-    c, s, c2, s2 = np.cos(th), np.sin(th), np.cos(2.0 * th), np.sin(2.0 * th)
-    cells = max(1, _BLOCK_ENTRIES // th.size)
-    for lo in range(0, len(g), cells):
-        g11, g12, g22 = (col[:, None, None] for col in g[lo : lo + cells].T)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
-            _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / d, c2, s2)
-            r00, r01, r02, r11, r12, r22 = r
-            # columns of R^-1 by back substitution: 1/r00; (y0, y1); (x0, x1, x2)
-            y1 = 1.0 / r11
-            y0 = -r01 * y1 / r00
-            x2 = 1.0 / r22
-            x1 = -r12 * x2 / r11
-            x0 = -(r01 * x1 + r02 * x2) / r00
-            hs = 2.0 * (1.0 / r00**2 + y0**2 + y1**2 + x0**2 + x1**2 + x2**2)
-            hs = np.sum(np.ldexp(hs, 2 * k), axis=-1) / offsets.size
-        values[lo : lo + len(hs)] = np.where(np.all(ok, axis=-1), hs, math.nan)
-    return values
+    hs = np.empty((len(g), offsets.size))  # per (cell, offset), NaN where not ok
+    steps = np.arange(d)[:, None] * (TWO_PI / m)
+    span = min(offsets.size, max(1, _BLOCK_ENTRIES // d))  # offsets per block
+    for p in range(0, offsets.size, span):
+        th = (steps + offsets[p : p + span]).T  # (offsets, d), angle axis outermost in memory
+        if d >= _SLAB_ANGLES:  # a long row is summed on its own, pairwise
+            th = np.ascontiguousarray(th)
+        c, s, c2, s2 = np.cos(th), np.sin(th), np.cos(2.0 * th), np.sin(2.0 * th)
+        cells = max(1, _BLOCK_ENTRIES // th.size)
+        for lo in range(0, len(g), cells):
+            g11, g12, g22 = (col[:, None, None] for col in g[lo : lo + cells].T)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
+                _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / d, c2, s2)
+                r00, r01, r02, r11, r12, r22 = r
+                # columns of R^-1 by back substitution: 1/r00; (y0, y1); (x0, x1, x2)
+                y1 = 1.0 / r11
+                y0 = -r01 * y1 / r00
+                x2 = 1.0 / r22
+                x1 = -r12 * x2 / r11
+                x0 = -(r01 * x1 + r02 * x2) / r00
+                h = 2.0 * (1.0 / r00**2 + y0**2 + y1**2 + x0**2 + x1**2 + x2**2)
+                hs[lo : lo + cells, p : p + span] = np.where(ok, np.ldexp(h, 2 * k), math.nan)
+    with np.errstate(over="ignore"):
+        return np.sum(hs, axis=-1) / offsets.size
 
 
 def expected_hom_hs_error(

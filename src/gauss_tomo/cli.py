@@ -475,6 +475,7 @@ _COMMANDS = (
     ("crossover", "bisect the isotropic state where gamma crosses 1", _CROSSOVER, _cmd_crossover),
 )
 _INI_KEYS = frozenset(opt.key for _, _, opts, _ in _COMMANDS for opt in opts)
+_NAMES = frozenset(name for name, _, _, _ in _COMMANDS) | {"verify"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -487,13 +488,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(" ".join(message.split()))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gauss-tomo parser; with command set, it holds that subcommand's
+    parser alone, which parses, helps and errs as in the full parser."""
     parser = _Parser(
         prog="gauss-tomo",
         description="Simulate and benchmark homodyne vs heterodyne Gaussian-state tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, opts, func in _COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file; flags override its values")
         for opt in opts:
@@ -508,15 +513,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("dataset", help="dataset file (csv or bin)")
         p.set_defaults(func=func, opts=opts)
 
-    p = sub.add_parser("verify", help="check the embedded config hash of output files")
-    p.add_argument("paths", nargs="+", help="files to verify")
-    p.set_defaults(func=_cmd_verify, opts=())
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", help="check the embedded config hash of output files")
+        p.add_argument("paths", nargs="+", help="files to verify")
+        p.set_defaults(func=_cmd_verify, opts=())
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first argument that names a subcommand needs only that subcommand's
+    # parser; anything else (--help, no or an unknown subcommand) gets the
+    # full parser, whose messages list every subcommand
+    command = argv[0] if argv and argv[0] in _NAMES else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args, _settings(args, args.opts))
     except (ConfigError, InvalidProtocol, UnknownScheme, DataFormatError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -556,12 +556,17 @@ class TestGammaMap:
 
     def test_analytic_blocks_stay_under_the_entry_budget(self, monkeypatch):
         # the designs are factored on the angles distinct mod pi, in blocks of at
-        # most _BLOCK_ENTRIES entries; a cell larger than that is a block of its own
+        # most _BLOCK_ENTRIES entries; a cell larger than that is cut into blocks
+        # of whole offsets.  Below _SLAB_ANGLES angles, the angle axis of a cell's
+        # (offsets, angles) block is outermost in memory, so qr_rows sums over the
+        # angles as slab adds; from there on it is contiguous, summed pairwise.
         shapes = []
         qr = benchmark._kernels.qr_rows
 
         def counted(var, *args):
             shapes.append(var.shape)
+            slabs = var.shape[-1] < benchmark._SLAB_ANGLES
+            assert var.shape[-2] == 1 or (var.strides[-1] > var.strides[-2]) == slabs, var.strides
             return qr(var, *args)
 
         monkeypatch.setattr(benchmark._kernels, "qr_rows", counted)
@@ -573,7 +578,9 @@ class TestGammaMap:
         shapes.clear()
         m = 2 * (benchmark._BLOCK_ENTRIES // benchmark._OFFSET_POINTS + 1)
         rows = gamma_map([1.0, 2.0, 3.0], [1.0], DET1, angle_count=m, analytic=True)
-        assert shapes == [(1, benchmark._OFFSET_POINTS, m // 2)] * 3
+        assert all(shape[2] == m // 2 for shape in shapes)
+        assert sum(shape[0] * shape[1] for shape in shapes) == 3 * benchmark._OFFSET_POINTS
+        assert max(math.prod(x) for x in shapes) <= benchmark._BLOCK_ENTRIES
         assert all(math.isfinite(row["gamma"]) for row in rows)
 
     def test_empirical_map_needs_30_reps(self):

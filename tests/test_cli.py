@@ -11,7 +11,7 @@ import pytest
 
 import gauss_tomo
 import gauss_tomo.benchmark as bm
-from gauss_tomo import cli, read_dataset
+from gauss_tomo import ConfigError, cli, read_dataset
 from gauss_tomo.cli import main
 
 
@@ -614,6 +614,35 @@ def test_help_still_exits_0(capsys):
             main(argv)
         assert exc_info.value.code == 0
         assert "usage: gauss-tomo" in capsys.readouterr().out
+
+
+def test_lazy_parser_prints_what_the_full_parser_prints(capsys):
+    # main builds only the parser of the subcommand its first argument names;
+    # every help text and usage error must be the full parser's, byte for byte
+    def full(argv):
+        try:
+            cli.build_parser().parse_args(argv)
+        except ConfigError as exc:
+            print(f"error: ConfigError: {exc}", file=sys.stderr)
+            return 2
+
+    def printed(parse, argv):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    names = sorted(cli._NAMES)
+    assert len(names) == 7
+    for argv in [[name, "--help"] for name in names] + [["--help"], [], ["bogus"]]:
+        assert printed(main, argv) == printed(full, argv), argv
+    code, out, _ = printed(main, ["--help"])
+    assert code == 0 and all(name in out for name in names)
+    for argv in ([], ["bogus"]):
+        code, out, err = printed(main, argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
 
 
 _COLD_START = """
