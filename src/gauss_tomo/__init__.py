@@ -46,9 +46,7 @@ from .estimation import (
     Diagnostics,
     EstimateResult,
     estimate,
-    estimate_heterodyne,
-    estimate_homodyne_ml,
-    estimate_homodyne_wls,
+    estimate_from_variances,
     extract_params,
     psd_project,
 )
@@ -89,9 +87,7 @@ __all__ = [
     "Underdetermined",
     "conditional_variance",
     "estimate",
-    "estimate_heterodyne",
-    "estimate_homodyne_ml",
-    "estimate_homodyne_wls",
+    "estimate_from_variances",
     "expected_het_hs_error",
     "expected_hom_hs_error",
     "extract_params",

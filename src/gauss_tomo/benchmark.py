@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__, _kernels
 from .core import CovMat, DetectionModel, StateSpec, hs_distance, wigner_cov
 from .errors import ConfigError, GaussTomoError, SingularMatrix
-from .estimation import _estimate_het, _fit_het_rows, _fit_hom_rows, estimate_from_variances
+from .estimation import _fit_het_rows, _fit_hom_rows, estimate_from_variances
 from .sampling import (
     _DOM_CROSSOVER, _DOM_MAP_CELL, _DOM_REF_HET, _DOM_REF_HOM, _DOM_UNIT_HET, _DOM_UNIT_HOM,
     TWO_PI, _child_seed, _rng, draw_heterodyne_covs, draw_homodyne_variances,
@@ -196,8 +196,8 @@ def _references(cfg: BenchmarkConfig) -> tuple:
     counts = np.full(REFERENCE_ANGLES, n_per, dtype=float)
     hom = estimate_from_variances(angles, v, counts, det, method="ml").g_w_hat
     rng = _rng(_child_seed(cfg.seed, _DOM_REF_HET, 0))
-    het = _estimate_het(draw_heterodyne_covs(g_w, det, n, 1, rng)[0], n, det, {}).g_w_hat
-    return hom, het
+    het = _fit_het_rows(draw_heterodyne_covs(g_w, det, n, 1, rng), n, det)[0][0]
+    return hom, CovMat(*het.tolist())
 
 
 def _run_cells(cells: list) -> list:

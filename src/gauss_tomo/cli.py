@@ -48,7 +48,7 @@ from .errors import (
     InvalidProtocol,
     UnknownScheme,
 )
-from .estimation import estimate_heterodyne, estimate_homodyne_ml, estimate_homodyne_wls
+from .estimation import estimate
 from .gaussianity import DEFAULT_BINS, MIN_BINS, test_gaussianity
 from .sampling import (
     _DOM_OFFSET,
@@ -335,12 +335,7 @@ def _cmd_estimate(args, s: dict) -> int:
     dataset = read_dataset(args.dataset)
     det = _detection(s, dataset.meta)
     method = s["method"]
-    if isinstance(dataset, HomodyneDataset):
-        result = estimate_homodyne_wls(dataset, det) if method == "wls" else estimate_homodyne_ml(dataset, det)
-    else:
-        if method == "wls":
-            raise ConfigError("method=wls applies to homodyne datasets only")
-        result = estimate_heterodyne(dataset, det)
+    result = estimate(dataset, det, method or "ml")
     record = result.to_dict()
     config = {
         "dataset": str(args.dataset),

@@ -9,22 +9,24 @@ which is already the ML estimator.  Both paths then remove the detection
 and electronic noise with DetectionModel.wigner_rows, the inverse of the
 map the samplers draw through, and project the result to the PSD cone.
 
-Each scheme has one core that works on rows, many records at once
-(`_fit_hom_rows`, `_fit_het_rows`); the single-record estimators are
-one-row views of it.
+There are two entries: `estimate(dataset, det, method)` for a record
+of either scheme, and `estimate_from_variances` for homodyne statistics
+alone.  Both are one-row views of the row cores, which fit many records
+at once (`_fit_hom_rows`, `_fit_het_rows`) and share one PSD
+projection, `_psd_project_rows`; `psd_project` is its one-row view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernels
 from .core import CovMat, DetectionModel, SINGULAR_DET_TOL, StateSpec
-from .errors import DegenerateVariance, SingularMatrix, TooFewSamples, Underdetermined
+from .errors import ConfigError, DegenerateVariance, SingularMatrix, TooFewSamples, Underdetermined
 from .sampling import HeterodyneDataset, HomodyneDataset
 
 ML_MAX_ITER = 10_000
@@ -70,36 +72,40 @@ class EstimateResult:
 
 
 def psd_project(g: CovMat) -> tuple[CovMat, bool]:
-    """Clip negative eigenvalues to zero.
+    """Clip negative eigenvalues to zero: the one-row view of _psd_project_rows.
 
-    Returns the input object untouched when it is already PSD, so
+    Returns the input object untouched when it is not clipped, so
     projecting twice cannot drift.  clipped reports whether any
     eigenvalue was negative.
     """
-    m = g.matrix
-    w, u = np.linalg.eigh(m)
-    if w[0] >= 0.0:
-        return g, False
-    wc = np.where(w < 0.0, 0.0, w)
-    out = (u * wc) @ u.T
-    return CovMat.from_matrix(out), True
+    out, clipped = _psd_project_rows(np.array([[g.g11, g.g12, g.g22]], dtype=float))
+    return (CovMat(*out[0].tolist()), True) if clipped[0] else (g, False)
 
 
 def _psd_project_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psd_project on every row (g11, g12, g22) of g, shape (R, 3).
+    """Clip the negative eigenvalues of every row (g11, g12, g22) of g,
+    shape (R, 3), to zero; returns the rows and their clip flags.
 
     The closed-form 2x2 eigenvalues pick the rows whose low eigenvalue is
-    negative or within rounding of zero, and only those go through
-    psd_project, so each row gets exactly what psd_project returns for it.
+    negative or within rounding of zero.  Only those are decomposed, in
+    one stacked eigh, and only where eigh finds a negative (or NaN) low
+    eigenvalue is a row replaced and flagged.  Every other row, a
+    non-finite one included, is returned as it is.
     """
-    half_tr = 0.5 * (g[:, 0] + g[:, 2])
-    half_gap = 0.5 * np.hypot(g[:, 0] - g[:, 2], 2.0 * g[:, 1])
-    near = half_tr - half_gap <= 1e-9 * (np.abs(half_tr) + half_gap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_tr = 0.5 * (g[:, 0] + g[:, 2])
+        half_gap = 0.5 * np.hypot(g[:, 0] - g[:, 2], 2.0 * g[:, 1])
+        near = np.flatnonzero(half_tr - half_gap <= 1e-9 * (np.abs(half_tr) + half_gap))
     out = g.copy()
     clipped = np.zeros(g.shape[0], dtype=bool)
-    for r in np.flatnonzero(near):
-        p, clipped[r] = psd_project(CovMat(*g[r].tolist()))
-        out[r] = p.g11, p.g12, p.g22
+    if not near.size:
+        return out, clipped  # most batches: skip the fixed cost of an empty decomposition
+    w, u = np.linalg.eigh(g[near][:, [0, 1, 1, 2]].reshape(-1, 2, 2))
+    clip = ~(w[:, 0] >= 0.0)
+    w, u = w[clip], u[clip]
+    p = (u * np.where(w < 0.0, 0.0, w)[:, None, :]) @ np.swapaxes(u, 1, 2)
+    out[near[clip]] = np.stack([p[:, 0, 0], 0.5 * (p[:, 0, 1] + p[:, 1, 0]), p[:, 1, 1]], axis=-1)
+    clipped[near[clip]] = True
     return out, clipped
 
 
@@ -110,8 +116,11 @@ def extract_params(g: CovMat) -> StateSpec:
     sqrt(e2/e1) >= 1; orientation is the angle of the large-eigenvalue
     axis folded to [0, pi), and 0 by convention for isotropic input.
     The original matrix is wigner_cov(StateSpec(mu, 1/lambda,
-    orientation)) up to rounding.
+    orientation)) up to rounding.  A singular or non-finite matrix raises
+    SingularMatrix.
     """
+    if not all(map(math.isfinite, (g.g11, g.g12, g.g22))):
+        raise SingularMatrix(f"covariance is not finite: {g}")
     d = g.det
     if d <= SINGULAR_DET_TOL:
         raise SingularMatrix(f"covariance determinant {d} <= {SINGULAR_DET_TOL}")
@@ -135,11 +144,6 @@ def _distinct_angles(th: np.ndarray) -> np.ndarray:
     f = np.sort(np.mod(th, math.pi), axis=-1)
     gaps = np.diff(f, axis=-1, append=f[:, :1] + math.pi)
     return np.count_nonzero(gaps > 1e-9, axis=-1)
-
-
-def _angle_variances(d: HomodyneDataset) -> list:
-    # an empty angle gets a placeholder variance; _estimate_hom rejects its count
-    return [float(np.mean(x * x)) if x.size else 0.0 for x in d.samples]
 
 
 # Per-row failure causes of _fit_hom_rows, in the order they are tested.
@@ -176,15 +180,18 @@ def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -
     )
     fit = np.flatnonzero(failed == FITTED)
     vf, n, c2, s2 = v[fit], n[fit], np.cos(2.0 * th[fit]), np.sin(2.0 * th[fit])
-    if method == "ml":
-        a, lik, iters, converged = _kernels.ml_fit_rows(vf, n, c2, s2, ML_MAX_ITER, ML_TOL)
-    else:
-        a, ok = _kernels.wls_fit_rows(vf, n, c2, s2)
-        lik = _kernels.loglik_rows(a, vf, n, c2, s2)
-        iters, converged = np.ones(fit.size, dtype=np.int64), ok
-        failed[fit[~ok]] = SINGULAR_WLS
-        fit, a, lik, iters, converged = fit[ok], a[ok], lik[ok], iters[ok], converged[ok]
-    g = np.stack([a[:, 0] + a[:, 1], a[:, 2], a[:, 0] - a[:, 1]], axis=-1)
+    # a bright row's overflow ends in inf or NaN, without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "ml":
+            a, lik, iters, converged = _kernels.ml_fit_rows(vf, n, c2, s2, ML_MAX_ITER, ML_TOL)
+        else:
+            a, ok = _kernels.wls_fit_rows(vf, n, c2, s2)
+            lik = _kernels.loglik_rows(a, vf, n, c2, s2)
+            iters, converged = np.ones(fit.size, dtype=np.int64), ok
+            failed[fit[~ok]] = SINGULAR_WLS
+            fit, a, lik, iters, converged = fit[ok], a[ok], lik[ok], iters[ok], converged[ok]
+        g = np.stack([a[:, 0] + a[:, 1], a[:, 2], a[:, 0] - a[:, 1]], axis=-1)
+        g = det.wigner_rows(g, "hom")
     out = HomRows(
         np.full((rows, 3), np.nan),
         failed,
@@ -193,15 +200,45 @@ def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -
         np.zeros(rows, dtype=np.int64),
         np.full(rows, np.nan),
     )
-    out.cov[fit], out.clipped[fit] = _psd_project_rows(det.wigner_rows(g, "hom"))
+    out.cov[fit], out.clipped[fit] = _psd_project_rows(g)
     out.converged[fit], out.iters[fit], out.loglik[fit] = converged, iters, lik
     return out
 
 
-def _estimate_hom(
-    angles, variances, counts, det: DetectionModel, method: str, meta: dict
+def _fit_het_rows(s, n, det: DetectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """The one heterodyne core: known-zero-mean sample covariances s,
+    shape (R, 2, 2), of n pairs each (shared, or one count per row) to
+    PSD Wigner covariances (R, 3) and clip flags."""
+    if np.any(np.asarray(n) < 2):
+        raise TooFewSamples(f"need >= 2 pairs, got {np.min(n)}")
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 3 or s.shape[1:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {s.shape[1:]}")
+    g = np.stack([s[:, 0, 0], 0.5 * (s[:, 0, 1] + s[:, 1, 0]), s[:, 1, 1]], axis=-1)
+    return _psd_project_rows(det.wigner_rows(g, "het"))
+
+
+def _unscaled_moment(f, x: np.ndarray):
+    """f(x / 2^k) * 4^k for a second moment f, with 2^k the power of two just
+    above max |x|: a bright record's squares cannot overflow, and the
+    scaling keeps every bit where nothing over- or underflows."""
+    k = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(f(np.ldexp(x, -k)), 2 * k)
+
+
+def estimate_from_variances(
+    angles,
+    variances,
+    counts,
+    det: DetectionModel,
+    method: str = "ml",
 ) -> EstimateResult:
-    """One homodyne problem through _fit_hom_rows; a failed row raises."""
+    """The entry for homodyne statistics: a covariance fitted from per-angle
+    sample variances by ML ("ml", Fisher scoring on their exact scaled
+    chi-square likelihood, started from WLS; hitting the iteration cap
+    shows in diagnostics.converged) or by WLS ("wls").  A problem that
+    cannot be fitted raises."""
     rows = _fit_hom_rows([angles], [variances], counts, det, method)
     cause = rows.failed[0]
     if cause == FEW_ANGLES:
@@ -222,78 +259,26 @@ def _estimate_hom(
         np.asarray(variances, dtype=float),
         float(rows.loglik[0]),
     )
-    return EstimateResult(CovMat(*rows.cov[0].tolist()), "hom", diag, meta)
+    return EstimateResult(CovMat(*rows.cov[0].tolist()), "hom", diag)
 
 
-def estimate_homodyne_ml(d: HomodyneDataset, det: DetectionModel) -> EstimateResult:
-    """Maximum-likelihood covariance from a homodyne record.
-
-    Per-angle sample variances (known zero mean) are scaled chi-squares;
-    their exact likelihood is maximized over the measured covariance by
-    Fisher scoring started from the WLS solution.  Hitting the iteration
-    cap is reported through diagnostics.converged, not raised.
-    """
-    return _estimate_hom(d.angles, _angle_variances(d), d.counts, det, "ml", dict(d.meta))
-
-
-def estimate_homodyne_wls(d: HomodyneDataset, det: DetectionModel) -> EstimateResult:
-    """Weighted-least-squares covariance from a homodyne record.
-
-    Weights are the inverse variances 2 v_theta^2 / n_theta of the
-    sample variances.  Exact on noise-free inputs; used as the reference
-    estimator the ML fit is validated against.
-    """
-    return _estimate_hom(d.angles, _angle_variances(d), d.counts, det, "wls", dict(d.meta))
-
-
-def _fit_het_rows(s, n, det: DetectionModel) -> tuple[np.ndarray, np.ndarray]:
-    """The one heterodyne core: known-zero-mean sample covariances s,
-    shape (R, 2, 2), of n pairs each (shared, or one count per row) to
-    PSD Wigner covariances (R, 3) and clip flags."""
-    if np.any(np.asarray(n) < 2):
-        raise TooFewSamples(f"need >= 2 pairs, got {np.min(n)}")
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 3 or s.shape[1:] != (2, 2):
-        raise ValueError(f"expected 2x2 matrices, got shape {s.shape[1:]}")
-    g = np.stack([s[:, 0, 0], 0.5 * (s[:, 0, 1] + s[:, 1, 0]), s[:, 1, 1]], axis=-1)
-    return _psd_project_rows(det.wigner_rows(g, "het"))
-
-
-def _estimate_het(s, n: int, det: DetectionModel, meta: dict) -> EstimateResult:
-    """One heterodyne sample covariance through _fit_het_rows."""
+def estimate(dataset, det: DetectionModel, method: str = "ml") -> EstimateResult:
+    """The entry for a record, carrying its meta.  A homodyne record goes to
+    estimate_from_variances as its per-angle mean squares (known zero
+    mean).  A heterodyne record gives its known-zero-mean sample
+    covariance, already the ML estimator, so it takes method "ml" only."""
+    if isinstance(dataset, HomodyneDataset):
+        # an empty angle gets a placeholder variance; the fit rejects its count
+        v = [float(_unscaled_moment(lambda y: np.mean(y * y), x)) if x.size else 0.0
+             for x in dataset.samples]
+        result = estimate_from_variances(dataset.angles, v, dataset.counts, det, method)
+        return replace(result, meta=dict(dataset.meta))
+    if not isinstance(dataset, HeterodyneDataset):
+        raise TypeError(f"unsupported dataset type {type(dataset)!r}")
+    if method != "ml":
+        raise ConfigError(f"method={method} applies to homodyne datasets only")
+    n = dataset.pairs.shape[0]
+    s = _unscaled_moment(lambda y: y.T @ y / n, dataset.pairs)
     cov, clipped = _fit_het_rows([s], n, det)
     diag = Diagnostics(0, True, bool(clipped[0]), None, None)
-    return EstimateResult(CovMat(*cov[0].tolist()), "het", diag, meta)
-
-
-def estimate_heterodyne(d: HeterodyneDataset, det: DetectionModel) -> EstimateResult:
-    """Sample-covariance estimator for heterodyne records (exact ML)."""
-    n = d.pairs.shape[0]
-    return _estimate_het(d.pairs.T @ d.pairs / n, n, det, dict(d.meta))
-
-
-def estimate_from_variances(
-    angles,
-    variances,
-    counts,
-    det: DetectionModel,
-    method: str = "ml",
-) -> EstimateResult:
-    """Fit a covariance from per-angle sample variances directly.
-
-    The homodyne estimators only ever see (angle, variance, count)
-    triples, so callers that hold only the variances, such as the
-    Monte Carlo benchmark, which draws them from their exact law,
-    finish the reconstruction here.
-    """
-    return _estimate_hom(angles, variances, counts, det, method, {})
-
-
-def estimate(dataset, det: DetectionModel) -> EstimateResult:
-    """Dispatch on dataset type: ML for homodyne, sample covariance for
-    heterodyne."""
-    if isinstance(dataset, HomodyneDataset):
-        return estimate_homodyne_ml(dataset, det)
-    if isinstance(dataset, HeterodyneDataset):
-        return estimate_heterodyne(dataset, det)
-    raise TypeError(f"unsupported dataset type {type(dataset)!r}")
+    return EstimateResult(CovMat(*cov[0].tolist()), "het", diag, dict(dataset.meta))

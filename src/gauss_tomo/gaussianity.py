@@ -180,10 +180,14 @@ def test_gaussianity(samples, bins: int = DEFAULT_BINS) -> GaussianityReport:
         raise ValueError(f"bins must be >= {MIN_BINS}, got {bins}")
     if x.size < 10 * bins:
         raise TooFewSamples(f"need >= {10 * bins} samples for {bins} bins, got {x.size}")
+    # the battery is scale-free, so it runs on x / 2^k, whose squares cannot
+    # overflow; a power of two keeps every bit where nothing over- or underflows
+    k = math.frexp(float(np.max(np.abs(x))))[1]
+    x = np.ldexp(x, -k)
     mean = float(np.mean(x))
     sd = float(np.std(x))
-    if sd <= 1e-9 * max(1.0, abs(mean)):
-        raise DegenerateVariance(f"sample standard deviation {sd} is degenerate")
+    if math.ldexp(sd, k) <= 1e-9 * max(1.0, abs(math.ldexp(mean, k))):
+        raise DegenerateVariance(f"sample standard deviation {math.ldexp(sd, k)} is degenerate")
 
     xs = np.sort(x)
     ks_stat = float(_ks_d(xs, mean, sd))

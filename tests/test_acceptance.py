@@ -109,9 +109,9 @@ def full_scale_runs():
     for idx, (name, spec) in enumerate(STATES.items()):
         g_w = gt.wigner_cov(spec)
         d_hom = gt.sample_homodyne(g_w, DET1, proto, 100_000, seed + 2 * idx)
-        p_hom = gt.extract_params(gt.estimate_homodyne_ml(d_hom, DET1).g_w_hat)
+        p_hom = gt.extract_params(gt.estimate(d_hom, DET1).g_w_hat)
         d_het = gt.sample_heterodyne(g_w, DET1, 10_000_000, seed + 2 * idx + 1)
-        p_het = gt.extract_params(gt.estimate_heterodyne(d_het, DET1).g_w_hat)
+        p_het = gt.extract_params(gt.estimate(d_het, DET1).g_w_hat)
         out["params"][name] = {"hom": p_hom, "het": p_het}
         if name == "strong-sqz":
             out["datasets"] = {"hom": d_hom, "het": d_het, "g_w": g_w}
@@ -146,7 +146,7 @@ def test_criterion_05_thermalization(capsys, full_scale_runs):
 
     d_hom = full_scale_runs["datasets"]["hom"]
     th_hom = gt.thermalize_homodyne(d_hom, seed=777)
-    g_hom = gt.estimate_homodyne_ml(th_hom, DET1).g_w_hat
+    g_hom = gt.estimate(th_hom, DET1).g_w_hat
     lam_hom = gt.extract_params(g_hom).lam
     var_hom = (g_hom.g11 + g_hom.g22) / 2.0
     before = np.sort(np.concatenate([np.asarray(s) for s in d_hom.samples]))
@@ -155,7 +155,7 @@ def test_criterion_05_thermalization(capsys, full_scale_runs):
 
     d_het = full_scale_runs["datasets"]["het"]
     th_het = gt.thermalize_heterodyne(d_het, seed=778)
-    g_het = gt.estimate_heterodyne(th_het, DET1).g_w_hat
+    g_het = gt.estimate(th_het, DET1).g_w_hat
     lam_het = gt.extract_params(g_het).lam
     var_het = (g_het.g11 + g_het.g22) / 2.0
     n0 = np.sort(np.hypot(d_het.pairs[:, 0], d_het.pairs[:, 1]))

@@ -588,6 +588,43 @@ def test_underflowing_state_gives_nan_without_warnings(capsys, argv, tail):
     assert stdout.endswith(tail)
 
 
+@pytest.mark.parametrize("mu", ["1e306", "1e307"])
+def test_bright_record_estimates_without_traceback(tmp_path, capsys, mu):
+    # a record's statistics are taken on its samples over 2^k, so they do not
+    # overflow; a fit that still does reports null parameters, or exits 3 with
+    # one line
+    for scheme, methods in (("hom", ("ml", "wls")), ("het", ("ml",))):
+        data = tmp_path / f"{scheme}.csv"
+        assert main(["simulate", "--scheme", scheme, "--mu", mu, "--lambda", "3",
+                     "--samples", "1000", "--seed", "1", "--out", str(data)]) == 0
+        capsys.readouterr()
+        for method in methods:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, stdout, err = run(capsys, "estimate", str(data), "--method", method)
+            assert not caught, [str(w.message) for w in caught]
+            assert code in (0, 3) and err.count("\n") <= 1
+            assert "Traceback" not in err and "Warning" not in err
+            if mu == "1e306":
+                assert (code, err) == (0, "")
+                assert json.loads(stdout)["mu"] == pytest.approx(1e306, rel=0.02)
+
+
+def test_bright_record_gaussianity(tmp_path, capsys):
+    # the battery standardizes x / 2^k, so a record near the float limit is
+    # tested as at unit scale
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--scheme", "het", "--mu", "1e307", "--samples", "2000",
+                 "--seed", "2", "--out", str(data)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "gaussianity", str(data))
+    assert (code, err) == (0, "")
+    reports = json.loads(stdout)["reports"]
+    assert len(reports) == 2 and not any("error" in r for r in reports)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2

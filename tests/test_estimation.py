@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gauss_tomo import (
     AngleProtocol,
+    ConfigError,
     CovMat,
     DegenerateVariance,
     DetectionModel,
@@ -16,9 +18,6 @@ from gauss_tomo import (
     TooFewSamples,
     Underdetermined,
     estimate,
-    estimate_heterodyne,
-    estimate_homodyne_ml,
-    estimate_homodyne_wls,
     extract_params,
     hs_distance,
     psd_project,
@@ -27,7 +26,8 @@ from gauss_tomo import (
     wigner_cov,
 )
 from gauss_tomo.estimation import (
-    FEW_SAMPLES, FITTED, ZERO_VARIANCE, _fit_hom_rows, estimate_from_variances,
+    FEW_SAMPLES, FITTED, ZERO_VARIANCE, _fit_het_rows, _fit_hom_rows, _psd_project_rows,
+    estimate_from_variances,
 )
 from gauss_tomo.sampling import HeterodyneDataset, HomodyneDataset, draw_homodyne_variances
 
@@ -58,6 +58,50 @@ class TestPsdProject:
         twice, clipped2 = psd_project(once)
         assert not clipped2
         assert twice is once
+
+
+    def test_rows_match_per_matrix_eigh(self):
+        # clipped rows, rows within rounding of the boundary, rows with both
+        # eigenvalues negative and integer-valued rows in one batch: the
+        # stacked eigh gives each row the bits of its own decomposition
+        rng = np.random.default_rng(12)
+        mixed = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+        edge = np.abs(mixed[:100])
+        edge[:, 1] = np.sqrt(edge[:, 0] * edge[:, 2]) * (1.0 + 1e-12 * rng.normal(size=100))
+        negative = -np.abs(mixed[:50]) * [1.0, 0.0, 1.0]
+        ints = rng.integers(-5, 6, (60, 3)).astype(float)
+        g = np.concatenate([mixed, edge, negative, ints])
+        out, clipped = _psd_project_rows(g)
+        for row, got, got_clipped in zip(g, out, clipped):
+            w, u = np.linalg.eigh(np.array([[row[0], row[1]], [row[1], row[2]]]))
+            want = row
+            if w[0] < 0.0:
+                p = (u * np.where(w < 0.0, 0.0, w)) @ u.T
+                want = [p[0, 0], 0.5 * (p[0, 1] + p[1, 0]), p[1, 1]]
+            assert got_clipped == (w[0] < 0.0)
+            assert np.array_equal(got, want)
+        assert 100 < clipped.sum() < len(g)
+        assert np.all(clipped[400:450])
+        # integer entries are projected as floats: the eigenvalues 3 and -1 give 1.5
+        p, was_clipped = psd_project(CovMat(1, 2, 1))
+        assert was_clipped and p == psd_project(CovMat(1.0, 2.0, 1.0))[0]
+        assert p.g11 == pytest.approx(1.5, rel=1e-15)
+
+    def test_one_row_view_on_non_finite_rows(self):
+        # a NaN row is left as it is, as are rows whose screen is NaN; a row
+        # that reaches eigh and has no finite eigenvalue is flagged
+        rows = [(math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (math.inf, 0.0, 1.0),
+                (1.0, math.inf, 1.0), (-math.inf, 0.0, 1.0), (math.inf, 0.0, -math.inf)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, clipped = _psd_project_rows(np.array(rows))
+            for row, want, want_clipped in zip(rows, out, clipped):
+                g = CovMat(*row)
+                got, got_clipped = psd_project(g)
+                assert got_clipped == want_clipped
+                assert np.array_equal([got.g11, got.g12, got.g22], want, equal_nan=True)
+                assert (got is g) == (not got_clipped)
+        assert not clipped[0] and not clipped[1]
 
 
 class TestExtractParams:
@@ -112,7 +156,7 @@ class TestExtractParams:
 class TestHomodyneEstimators:
     def test_ml_recovers_truth(self):
         d = sample_homodyne(G_W, DET, AngleProtocol(10, 0.07), 50_000, 44)
-        r = estimate_homodyne_ml(d, DET)
+        r = estimate(d, DET)
         assert r.scheme == "hom"
         assert r.diagnostics.converged
         assert r.diagnostics.iterations >= 1
@@ -120,24 +164,24 @@ class TestHomodyneEstimators:
 
     def test_wls_close_to_ml(self):
         d = sample_homodyne(G_W, DET, AngleProtocol(12, 0.0), 20_000, 45)
-        ml = estimate_homodyne_ml(d, DET)
-        wls = estimate_homodyne_wls(d, DET)
+        ml = estimate(d, DET)
+        wls = estimate(d, DET, "wls")
         assert hs_distance(ml.g_w_hat, wls.g_w_hat) < 0.05
         assert wls.diagnostics.iterations == 1
 
     def test_ml_loglik_at_least_wls(self):
         d = sample_homodyne(G_W, DET, AngleProtocol(8, 0.1), 5_000, 46)
-        ml = estimate_homodyne_ml(d, DET)
-        wls = estimate_homodyne_wls(d, DET)
+        ml = estimate(d, DET)
+        wls = estimate(d, DET, "wls")
         assert ml.diagnostics.loglik >= wls.diagnostics.loglik - 1e-9
 
     def test_underdetermined_two_distinct_angles(self):
         # four equally spaced angles collapse to two distinct mod pi
         d = sample_homodyne(G_W, DET, AngleProtocol(4), 1_000, 47)
         with pytest.raises(Underdetermined):
-            estimate_homodyne_ml(d, DET)
+            estimate(d, DET)
         with pytest.raises(Underdetermined):
-            estimate_homodyne_wls(d, DET)
+            estimate(d, DET, "wls")
 
     def test_angles_across_the_wrap_are_one_angle(self):
         # 0 and pi - 1e-12 are one angle modulo pi, so only two are distinct
@@ -151,18 +195,18 @@ class TestHomodyneEstimators:
             samples = (np.ones(short), np.ones(5), np.ones(5))
             d = HomodyneDataset(angles, samples, {"scheme": "hom"})
             with pytest.raises(TooFewSamples):
-                estimate_homodyne_ml(d, DET)
+                estimate(d, DET)
 
     def test_degenerate_variance(self):
         angles = (0.1, 1.0, 2.0)
         samples = (np.zeros(10), np.ones(10), np.ones(10))
         d = HomodyneDataset(angles, samples, {"scheme": "hom"})
         with pytest.raises(DegenerateVariance):
-            estimate_homodyne_ml(d, DET)
+            estimate(d, DET)
 
     def test_meta_carried_through(self):
         d = sample_homodyne(G_W, DET, AngleProtocol(5), 1_000, 48)
-        r = estimate_homodyne_ml(d, DET)
+        r = estimate(d, DET)
         assert r.meta["seed"] == 48
         record = r.to_dict()
         assert set(("scheme", "g11", "g12", "g22", "mu", "lambda", "orientation")) <= set(record)
@@ -172,7 +216,7 @@ class TestHomodyneEstimators:
         v = np.array([np.mean(x * x) for x in d.samples])
         counts = np.array(d.counts, dtype=float)
         r_stream = estimate_from_variances(np.array(d.angles), v, counts, DET, method="ml")
-        r_full = estimate_homodyne_ml(d, DET)
+        r_full = estimate(d, DET)
         assert r_stream.g_w_hat == r_full.g_w_hat
 
 
@@ -304,7 +348,7 @@ def test_rows_with_per_row_counts_match_each_cell_alone(method):
 class TestHeterodyneEstimator:
     def test_recovers_truth(self):
         d = sample_heterodyne(G_W, DET, 300_000, 50)
-        r = estimate_heterodyne(d, DET)
+        r = estimate(d, DET)
         assert r.scheme == "het"
         assert hs_distance(r.g_w_hat, G_W) < 0.5
 
@@ -313,7 +357,7 @@ class TestHeterodyneEstimator:
         pairs = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 3.0], [0.0, -3.0]])
         det = DetectionModel(0.5, CovMat(0.25, 0.0, 0.25))
         d = HeterodyneDataset(pairs, {"scheme": "het"})
-        r = estimate_heterodyne(d, det)
+        r = estimate(d, det)
         # S - g_elec - ((2 - eta)/eta) I with eta = 0.5 subtracts 3.25
         assert r.g_w_hat.g11 == pytest.approx(8.0 - 0.25 - 3.0, rel=1e-12)
         assert r.g_w_hat.g22 == pytest.approx(4.5 - 0.25 - 3.0, rel=1e-12)
@@ -322,14 +366,14 @@ class TestHeterodyneEstimator:
     def test_clipping_flagged(self):
         pairs = np.array([[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1], [0.0, -0.1]])
         d = HeterodyneDataset(pairs, {"scheme": "het"})
-        r = estimate_heterodyne(d, DetectionModel(1.0))
+        r = estimate(d, DetectionModel(1.0))
         assert r.diagnostics.psd_clipped
         assert r.g_w_hat.eigenvalues()[0] >= -1e-12
 
     def test_too_few_pairs(self):
         d = HeterodyneDataset(np.array([[1.0, 2.0]]), {"scheme": "het"})
         with pytest.raises(TooFewSamples):
-            estimate_heterodyne(d, DET)
+            estimate(d, DET)
 
 
 class TestDispatcher:
@@ -338,6 +382,19 @@ class TestDispatcher:
         dq = sample_heterodyne(G_W, DET, 2_000, 51)
         assert estimate(dh, DET).scheme == "hom"
         assert estimate(dq, DET).scheme == "het"
+
+    def test_scaled_statistics_keep_every_bit(self):
+        # the heterodyne sample covariance is taken on pairs / 2^k and scaled
+        # back: the bits of the plain product, wherever it does not overflow
+        dq = sample_heterodyne(G_W, DET, 2_000, 52)
+        n = dq.pairs.shape[0]
+        cov, _ = _fit_het_rows([dq.pairs.T @ dq.pairs / n], n, DET)
+        assert estimate(dq, DET).g_w_hat == CovMat(*cov[0].tolist())
+
+    def test_wls_rejected_for_heterodyne(self):
+        dq = sample_heterodyne(G_W, DET, 2_000, 51)
+        with pytest.raises(ConfigError, match="^method=wls applies to homodyne datasets only$"):
+            estimate(dq, DET, "wls")
 
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):

@@ -109,6 +109,23 @@ class TestGaussianityVerdicts:
         assert d["kl_divergence"] >= 0.0
         assert d["chi2_dof"] >= 1
 
+    def test_power_of_two_scale_keeps_every_bit(self):
+        # the battery runs on x / 2^k, so a record near the float limit, whose
+        # squares overflow, gets the report of the same record at unit scale
+        x = np.random.default_rng(7).normal(size=3000)
+        base = run_gof(x)
+        for k in (1000, 1020, -3):
+            assert run_gof(np.ldexp(x, k)) == base
+
+    def test_degenerate_threshold_is_absolute(self):
+        # the sd is compared with 1e-9 in the record's own units, not in units of 2^k
+        x = np.random.default_rng(8).normal(size=2000)
+        with pytest.raises(DegenerateVariance):
+            run_gof(1e-10 * x)
+        with pytest.raises(DegenerateVariance):
+            run_gof(1e300 + 1e290 * x)
+        run_gof(1e-8 * x)
+
     def test_calibrated_pvalue_differs_from_asymptotic(self):
         # fitting mean/sd from the data makes the classical asymptotic
         # p-value wildly conservative; the calibrated one fixes that
