@@ -31,6 +31,8 @@ angles distinct mod pi (_kernels.qr_rows, the factor the homodyne fits
 solve on), each state getting the bits it gets alone.  Below 128 distinct
 angles its grid has the angle axis outermost in memory, so that qr_rows'
 sums over the angles are slab adds, not one short strided sum per row.
+An unrotated state (g12 = 0) is mirror-symmetric in the protocol offset,
+so _expected_hom_mean evaluates it on half the offsets.
 """
 
 from __future__ import annotations
@@ -241,12 +243,12 @@ def _run_cells(cells: list) -> list:
     return np.split(np.where(ok, dhs, math.nan), bounds[1:-1])
 
 
-def _aggregate(values: list) -> CellStats:
-    ok = [v for v in values if not math.isnan(v)]
-    failed = len(values) - len(ok)
-    if not ok:
+def _aggregate(values: np.ndarray) -> CellStats:
+    values = np.asarray(values, dtype=float)
+    arr = values[~np.isnan(values)]
+    failed = values.size - arr.size
+    if not arr.size:
         return CellStats(math.nan, math.nan, 0, failed)
-    arr = np.asarray(ok)
     # the std of arr / 2^k, times 2^k: the same bits, but the squared
     # deviations of a bright state's distances no longer overflow
     k = np.frexp(np.max(arr))[1]
@@ -418,7 +420,8 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
     operation is elementwise or a sum over one row, and the offsets per
     block and the layout depend on m alone, so a cell's value does not
     depend on the other cells, and g times 2^k gives exactly 2^2k times
-    the value.
+    the value.  The offsets are the caller's; the g12 = 0 mirror, which
+    holds only on the midpoint grid, is _expected_hom_mean's.
     """
     d = _distinct_mod_pi(m)
     if d < 3:
@@ -451,6 +454,23 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
         return np.sum(hs, axis=-1) / offsets.size
 
 
+def _expected_hom_mean(g: np.ndarray, m: int, n_events: int) -> np.ndarray:
+    """_expected_hom_rows(g, m, n_events, _hom_offsets(m)) for (C, 3) rows g,
+    each row on its own grid.  A row with g12 = 0 has sigma^2(theta) =
+    sigma^2(-theta), and theta -> -theta maps the angle set at midpoint
+    offset k onto the set at offset _OFFSET_POINTS - 1 - k (mod pi, so for
+    folded even m too): its Fisher information at the two offsets differs
+    only in the sign of the sin 2theta column, with the same inverse trace.
+    Such a row is evaluated on the first half of the offsets, whose mean
+    is the full mean up to rounding; every other row keeps the full grid."""
+    offsets, mirror = _hom_offsets(m), g[:, 1] == 0.0
+    values = np.empty(len(g))
+    for rows, grid in ((mirror, offsets[: _OFFSET_POINTS // 2]), (~mirror, offsets)):
+        if rows.any():
+            values[rows] = _expected_hom_rows(g[rows], m, n_events, grid)
+    return values
+
+
 def expected_hom_hs_error(
     state: StateSpec, det: DetectionModel, angle_count: int, n_events: int
 ) -> float:
@@ -460,15 +480,17 @@ def expected_hom_hs_error(
     variance statistics: each angle contributes (n_theta / (2 sigma_theta^4))
     u u^T with u = (cos^2, sin 2theta, sin^2).  E[D_HS] is the weighted
     trace of the inverse, averaged over _OFFSET_POINTS protocol offsets to
-    match the benchmark's random-offset draws.  The one-row view of
-    _scaled_records and _expected_hom_rows, on the recorded covariance
+    match the benchmark's random-offset draws; for a recorded g12 = 0 the
+    average over the first half of them, which equals it by the mirror
+    theta -> -theta (_expected_hom_mean).  The one-row view of
+    _scaled_records and _expected_hom_mean, on the recorded covariance
     scaled by 2^-k and multiplied back by 2^2k: a singular Fisher
     information raises SingularMatrix, and an error beyond the float
     range reads inf.
     """
     m = int(angle_count)
     k, g = _scaled_records([state], det)["hom"]
-    value = _expected_hom_rows(g, m, n_events, _hom_offsets(m))
+    value = _expected_hom_mean(g, m, n_events)
     if np.isnan(value[0]):
         raise SingularMatrix("Fisher information is singular for this protocol")
     with np.errstate(over="ignore"):
@@ -478,14 +500,14 @@ def expected_hom_hs_error(
 def _analytic_gammas(states: list, det: DetectionModel, m: int) -> list:
     """gamma_analytic of each state, as arrays over the states: the
     heterodyne and homodyne errors of the scaled recorded covariances
-    (_scaled_records), the homodyne side in one _expected_hom_rows call, and
+    (_scaled_records), the homodyne side in one _expected_hom_mean call, and
     their ratio times 2^2(k_het - k_hom).  A state gets NaN where its Fisher
     information is singular, its recorded covariance is not finite or its
     gamma lies beyond the float range; a protocol with fewer than 3 angles
     distinct mod pi raises SingularMatrix."""
     records = _scaled_records(states, det)
     (k_het, sigma), (k_hom, g) = records["het"], records["hom"]
-    hom = _expected_hom_rows(g, m, _GAMMA_EVENTS, _hom_offsets(m))
+    hom = _expected_hom_mean(g, m, _GAMMA_EVENTS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gammas = np.ldexp(_het_error(sigma, _GAMMA_EVENTS) / hom, 2 * (k_het - k_hom))
     return np.where(np.isfinite(gammas), gammas, math.nan).tolist()
@@ -495,9 +517,10 @@ def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> f
     """Asymptotic gamma: expected heterodyne HS error over homodyne's.
 
     Independent of the event budget (both errors scale as 1/N); the
-    homodyne side is averaged over the protocol offset.  For isotropic
-    states at eta=1 this reduces to 6 (mu+1)^2 / (20 mu^2): 1.2 at the
-    vacuum, crossing 1 near mu = 1.211, tending to 0.3 for bright
+    homodyne side is averaged over the protocol offset, over half the
+    offsets where the recorded g12 is 0 (_expected_hom_mean).  For
+    isotropic states at eta=1 this reduces to 6 (mu+1)^2 / (20 mu^2): 1.2
+    at the vacuum, crossing 1 near mu = 1.211, tending to 0.3 for bright
     thermal states.  The one-state view of _analytic_gammas: NaN where the
     state fails numerically (a singular Fisher information, or a recorded
     covariance or a gamma beyond the float range), SingularMatrix for a

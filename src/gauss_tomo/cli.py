@@ -34,6 +34,7 @@ import numpy as np
 from .benchmark import BenchmarkConfig, find_isotropic_crossover, gamma_map, run_benchmark
 from .core import CovMat, DetectionModel, StateSpec, wigner_cov
 from .dataio import (
+    _json_safe,
     gamma_map_csv,
     read_dataset,
     verify_file,
@@ -326,9 +327,10 @@ def _cmd_simulate(args, s: dict) -> int:
 
 
 def _print_report(out, config: dict, body: dict) -> None:
-    # print the report as JSON, writing it to out first when out is set
+    # print the report as JSON, writing it to out first when out is set; a
+    # non-finite value prints as null, as in the file
     payload = write_report_json(out, config, body) if out else {"config": config, **body}
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+    print(json.dumps(_json_safe(payload), indent=2, sort_keys=True, default=str))
 
 
 def _cmd_estimate(args, s: dict) -> int:

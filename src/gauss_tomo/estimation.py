@@ -187,7 +187,8 @@ def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -
         else:
             a, ok = _kernels.wls_fit_rows(vf, n, c2, s2)
             lik = _kernels.loglik_rows(a, vf, n, c2, s2)
-            iters, converged = np.ones(fit.size, dtype=np.int64), ok
+            # a solution that overflowed is not a fit, as for ML
+            iters, converged = np.ones(fit.size, dtype=np.int64), np.all(np.isfinite(a), axis=-1)
             failed[fit[~ok]] = SINGULAR_WLS
             fit, a, lik, iters, converged = fit[ok], a[ok], lik[ok], iters[ok], converged[ok]
         g = np.stack([a[:, 0] + a[:, 1], a[:, 2], a[:, 0] - a[:, 1]], axis=-1)

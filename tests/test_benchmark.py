@@ -265,6 +265,20 @@ class TestRunCell:
         assert rows[1] == {"mu": 1.5, "lambda": 2.0, "gamma": value}
         assert math.isfinite(value) and stderr > 0.0
 
+    def test_aggregate_drops_nans_as_the_list_form(self):
+        # failed repetitions are NaN: the mask keeps the order and the bits
+        # of the rest, so the stats are those of the NaN-free list
+        rng = np.random.default_rng(3)
+        values = rng.exponential(1.0, 125) * 1e-3
+        values[[0, 7, 8, 124]] = math.nan
+        kept = [v for v in values.tolist() if not math.isnan(v)]
+        got, want = benchmark._aggregate(values), benchmark._aggregate(kept)
+        assert (got.mean, got.stderr, got.used, got.failed) == (want.mean, want.stderr, 121, 4)
+        assert got == benchmark._aggregate(values.tolist())
+        empty = benchmark._aggregate(np.full(5, math.nan))
+        assert math.isnan(empty.mean) and math.isnan(empty.stderr)
+        assert (empty.used, empty.failed) == (0, 5)
+
     def test_blocks_do_not_change_the_cells(self, monkeypatch):
         # one block, one cell per block and the pool's blocks give the same
         # bits: cells of three states, two detection models, two N, and
@@ -469,6 +483,43 @@ class TestExpectedErrors:
                 got = benchmark._expected_hom_rows([g], m, 10_000, offsets)[0]
                 assert got == pytest.approx(all_angles(g, m, 10_000, offsets), rel=1e-12), (m, lam)
 
+    def test_unrotated_states_use_the_mirror_half_of_the_offsets(self):
+        # g12 = 0 gives sigma^2(theta) = sigma^2(-theta), and the reflection maps
+        # offset k of the midpoint grid onto offset 63 - k: the mean over the
+        # first 32 offsets is the 64-offset mean up to rounding.  Any other row
+        # keeps the full grid and its bits, and each row gets its one-row bits.
+        det = DetectionModel(0.85, CovMat(0.01, 0.0, 0.01))
+        skew = DetectionModel(0.85, CovMat(0.01, 0.002, 0.01))
+        mus, lams = np.geomspace(1e-3, 1e150, 7), np.geomspace(1.0, 1e4, 5)
+        flat = [StateSpec(mu, lam) for mu in mus for lam in lams]
+        rotated = [StateSpec(mu, lam, 0.7) for mu in mus for lam in lams[1:]]
+        for m in (3, 5, 7, 10, 100):
+            offsets = benchmark._hom_offsets(m)
+            for states, d, mirrored in ((flat, det, True), (rotated, det, False),
+                                        (flat, skew, False)):
+                _, g = benchmark._scaled_records(states, d)["hom"]
+                assert np.all((g[:, 1] == 0.0) == mirrored), (m, mirrored)
+                got = benchmark._expected_hom_mean(g, m, 10_000)
+                full = benchmark._expected_hom_rows(g, m, 10_000, offsets)
+                assert np.all(np.isfinite(got)), m
+                if mirrored:
+                    assert np.all(np.abs(got - full) <= 2e-15 * full), m
+                else:
+                    assert np.array_equal(got, full), m
+            _, g_flat = benchmark._scaled_records(flat, det)["hom"]
+            _, g_rot = benchmark._scaled_records(rotated, det)["hom"]
+            g = np.concatenate([g_rot[:9], g_flat, g_rot[9:]])
+            mixed = benchmark._expected_hom_mean(g, m, 10_000)
+            alone = [benchmark._expected_hom_mean(row[None], m, 10_000)[0] for row in g]
+            assert mixed.tolist() == alone, m
+            # the scalar entries are the one-row views of the array paths
+            k, g_flat = benchmark._scaled_records(flat[::4], det)["hom"]
+            views = np.ldexp(benchmark._expected_hom_mean(g_flat, m, 10_000), 2 * k)
+            assert [expected_hom_hs_error(x, det, m, 10_000) for x in flat[::4]] == views.tolist()
+            both = flat[::4] + rotated[::4]
+            gammas = benchmark._analytic_gammas(both, det, m)
+            assert [gamma_analytic(x, det, m) for x in both] == gammas, m
+
     def test_errors_beyond_the_float_range_read_inf(self):
         # both errors grow as mu^2: at mu 1e200 they are 1e400 over n
         bright = StateSpec(1e200, 1.0)
@@ -573,13 +624,16 @@ class TestGammaMap:
         gamma_map(np.linspace(0.5, 4.0, 12), np.linspace(1.0, 8.0, 12), DET1, angle_count=10,
                   analytic=True)
         assert sum(shape[0] for shape in shapes) == 144
-        assert all(shape[1:] == (benchmark._OFFSET_POINTS, 5) for shape in shapes)
+        # every state is unrotated and g_elec is 0: g12 = 0 halves the offset grid
+        half = benchmark._OFFSET_POINTS // 2
+        assert all(shape[1:] == (half, 5) for shape in shapes)
         assert 1 < len(shapes) and max(math.prod(x) for x in shapes) <= benchmark._BLOCK_ENTRIES
         shapes.clear()
-        m = 2 * (benchmark._BLOCK_ENTRIES // benchmark._OFFSET_POINTS + 1)
+        # a cell's half grid exceeds the budget at this m, so each cell is cut
+        m = 2 * (benchmark._BLOCK_ENTRIES // half + 1)
         rows = gamma_map([1.0, 2.0, 3.0], [1.0], DET1, angle_count=m, analytic=True)
-        assert all(shape[2] == m // 2 for shape in shapes)
-        assert sum(shape[0] * shape[1] for shape in shapes) == 3 * benchmark._OFFSET_POINTS
+        assert all(shape[2] == m // 2 for shape in shapes) and len(shapes) > 3
+        assert sum(shape[0] * shape[1] for shape in shapes) == 3 * half
         assert max(math.prod(x) for x in shapes) <= benchmark._BLOCK_ENTRIES
         assert all(math.isfinite(row["gamma"]) for row in rows)
 

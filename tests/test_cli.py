@@ -610,6 +610,24 @@ def test_bright_record_estimates_without_traceback(tmp_path, capsys, mu):
                 assert json.loads(stdout)["mu"] == pytest.approx(1e306, rel=0.02)
 
 
+def test_non_finite_report_values_print_as_null(tmp_path, capsys):
+    # the fit of a mu 1e307 record overflows: stdout says null, as the file does
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    data, out = tmp_path / "d.csv", tmp_path / "e.json"
+    assert main(["simulate", "--scheme", "hom", "--mu", "1e307", "--lambda", "3",
+                 "--samples", "1000", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    for method in ("ml", "wls"):
+        code, stdout, _ = run(capsys, "estimate", str(data), "--method", method)
+        assert code == 0
+        report = json.loads(stdout, parse_constant=no_constants)
+        assert report["g11"] is None and report["diagnostics"]["converged"] is False, method
+        code, stdout, _ = run(capsys, "estimate", str(data), "--method", method, "--out", str(out))
+        assert json.loads(stdout, parse_constant=no_constants) == json.loads(out.read_text())
+
+
 def test_bright_record_gaussianity(tmp_path, capsys):
     # the battery standardizes x / 2^k, so a record near the float limit is
     # tested as at unit scale

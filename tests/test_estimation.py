@@ -204,6 +204,20 @@ class TestHomodyneEstimators:
         with pytest.raises(DegenerateVariance):
             estimate(d, DET)
 
+    def test_overflowing_solution_is_not_converged(self):
+        # at mu 1e307 the solve overflows although every variance is finite:
+        # WLS reports that row as not converged, as ML does
+        g_w = wigner_cov(StateSpec(1e307, 3.0))
+        d = sample_homodyne(g_w, DetectionModel(), AngleProtocol(10), 1_000, 1)
+        for method in ("ml", "wls"):
+            r = estimate(d, DetectionModel(), method)
+            assert np.all(np.isfinite(r.diagnostics.variances)), method
+            assert math.isnan(r.g_w_hat.g11) and not r.diagnostics.converged, method
+        # a dimmer state fits, and its WLS row still converges
+        d = sample_homodyne(wigner_cov(StateSpec(1e306, 3.0)), DetectionModel(),
+                            AngleProtocol(10), 1_000, 1)
+        assert estimate(d, DetectionModel(), "wls").diagnostics.converged
+
     def test_meta_carried_through(self):
         d = sample_homodyne(G_W, DET, AngleProtocol(5), 1_000, 48)
         r = estimate(d, DET)
