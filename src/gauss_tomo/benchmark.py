@@ -28,11 +28,10 @@ map cells and gamma_analytic: its homodyne core, _expected_hom_rows,
 evaluates the expected error of many states that share an angle count at
 once, from the QR factor of each protocol offset's whitened design on the
 angles distinct mod pi (_kernels.qr_rows, the factor the homodyne fits
-solve on), each state getting the bits it gets alone.  Below 128 distinct
-angles its grid has the angle axis outermost in memory, so that qr_rows'
-sums over the angles are slab adds, not one short strided sum per row.
-An unrotated state (g12 = 0) is mirror-symmetric in the protocol offset,
-so _expected_hom_mean evaluates it on half the offsets.
+solve on), each state getting the bits it gets alone.  Its grids are
+laid out by the one layout rule of the _kernels docstring.  An unrotated
+state (g12 = 0) is mirror-symmetric in the protocol offset, so
+_expected_hom_mean evaluates it on half the offsets.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ GAMMA_MIN_REPS = 30
 REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
 _OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
 _BLOCK_ENTRIES = 1 << 14  # cells x offsets x distinct angles per block of _expected_hom_rows
-_SLAB_ANGLES = 128  # fewer distinct angles than this are summed as slab adds (_expected_hom_rows)
 _BLOCK_ROWS = 2048  # repetitions per block of _run_cells: bounds the rows its fits hold at once
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
 
@@ -397,7 +395,7 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
     expected_hom_hs_error), and NaN where that information is singular.
     An m with fewer than 3 angles distinct mod pi raises SingularMatrix.
 
-    Each (cell, offset) is one row of _kernels.qr_rows: the whitened
+    Each (cell, offset) is one problem of _kernels.qr_rows: the whitened
     design sqrt(n_theta/2)/sigma_theta^2 (1, cos 2theta, sin 2theta) of
     the model parameters a = ((g11 + g22)/2, (g11 - g22)/2, g12), whose
     Gram matrix R^T R is the Fisher information of a.  For even m, theta +
@@ -408,17 +406,13 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
     Fisher information of g is 2 ||R^-1||_F^2, read from the closed-form
     inverse of the 3x3 triangle.
 
-    A block holds whole offsets of one or more cells and at most
-    _BLOCK_ENTRIES design entries (one offset's d, if more), which bounds
-    the memory at any m; the per-offset values are summed once, at the end.
-    Below _SLAB_ANGLES angles the grid has its angle axis outermost in
-    memory, a layout every elementwise result keeps, so each sum over the
-    angles in qr_rows is d slab adds, not one short strided sum per (cell,
-    offset); from d = 8 on, that in-order sum differs in the last bit from
-    numpy's pairwise one.  Longer rows stay contiguous: their own sums cost
-    little, and the pairwise sum's rounding grows as log d, not d.  Every
-    operation is elementwise or a sum over one row, and the offsets per
-    block and the layout depend on m alone, so a cell's value does not
+    A block is a (d, cells, offsets) grid of whole offsets of one or more
+    cells and at most _BLOCK_ENTRIES design entries (one offset's d, if
+    more), which bounds the memory at any m; the per-offset values are
+    summed once, at the end.  The grid is laid out by _kernels.angle_major,
+    under the layout rule of the _kernels docstring.  Every operation is
+    elementwise or a sum over the angles of one problem, and the offsets
+    per block and the layout depend on m alone, so a cell's value does not
     depend on the other cells, and g times 2^k gives exactly 2^2k times
     the value.  The offsets are the caller's; the g12 = 0 mirror, which
     holds only on the midpoint grid, is _expected_hom_mean's.
@@ -431,15 +425,14 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
     steps = np.arange(d)[:, None] * (TWO_PI / m)
     span = min(offsets.size, max(1, _BLOCK_ENTRIES // d))  # offsets per block
     for p in range(0, offsets.size, span):
-        th = (steps + offsets[p : p + span]).T  # (offsets, d), angle axis outermost in memory
-        if d >= _SLAB_ANGLES:  # a long row is summed on its own, pairwise
-            th = np.ascontiguousarray(th)
+        th = _kernels.angle_major(steps + offsets[p : p + span])[:, None]  # (d, 1, offsets)
         c, s, c2, s2 = np.cos(th), np.sin(th), np.cos(2.0 * th), np.sin(2.0 * th)
         cells = max(1, _BLOCK_ENTRIES // th.size)
         for lo in range(0, len(g), cells):
-            g11, g12, g22 = (col[:, None, None] for col in g[lo : lo + cells].T)
+            g11, g12, g22 = (col[:, None] for col in g[lo : lo + cells].T)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
+                sig2 = _kernels.angle_major(sig2)  # (d, cells, offsets)
                 _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / d, c2, s2)
                 r00, r01, r02, r11, r12, r22 = r
                 # columns of R^-1 by back substitution: 1/r00; (y0, y1); (x0, x1, x2)

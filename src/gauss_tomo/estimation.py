@@ -124,10 +124,14 @@ def extract_params(g: CovMat) -> StateSpec:
     d = g.det
     if d <= SINGULAR_DET_TOL:
         raise SingularMatrix(f"covariance determinant {d} <= {SINGULAR_DET_TOL}")
+    # g over 2^j, j the exponent of its larger variance: the same bits, but
+    # the trace of a covariance near the float limit no longer overflows
+    j = math.frexp(max(g.g11, g.g22))[1]
+    g = CovMat(*(math.ldexp(x, -j) for x in (g.g11, g.g12, g.g22)))
     e1, e2 = g.eigenvalues()
     # e1 and e2 scaled by 2^-k about their middle exponent: e1 * e2 cannot overflow
     k = (math.frexp(e1)[1] + math.frexp(e2)[1]) // 2
-    mu = math.ldexp(math.sqrt(math.ldexp(e1, -k) * math.ldexp(e2, -k)), k)
+    mu = math.ldexp(math.sqrt(math.ldexp(e1, -k) * math.ldexp(e2, -k)), k + j)
     lam = math.sqrt(e2 / e1)
     if e2 - e1 <= 1e-12 * e2:
         orientation = 0.0
@@ -163,7 +167,12 @@ def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -
     """The one homodyne core: rows of (angles, variances), shape (R, m),
     with counts shared (m,) or per row (R, m), to PSD Wigner covariances,
     fitted by ML ("ml") or WLS ("wls").  A row that cannot be fitted is
-    reported in failed instead of raising."""
+    reported in failed instead of raising.  The rows reach the kernels
+    angle axis first, laid out by _kernels.angle_major (the layout rule of
+    the _kernels docstring), each in units of 2^k, k the exponent of its
+    largest variance: the fit keeps its bits, and a bright row's solve
+    cannot overflow.  Its parameters are multiplied back by 2^k, and a
+    solution that is not finite in the record's units is not converged."""
     th = np.asarray(angles, dtype=float)
     v = np.asarray(variances, dtype=float)
     n = np.asarray(counts, dtype=float)
@@ -179,7 +188,9 @@ def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -
         FITTED,
     )
     fit = np.flatnonzero(failed == FITTED)
-    vf, n, c2, s2 = v[fit], n[fit], np.cos(2.0 * th[fit]), np.sin(2.0 * th[fit])
+    k = np.frexp(np.max(v[fit], axis=-1, initial=0.0))[1]
+    vf, n, th = (_kernels.angle_major(x.T, fit) for x in (v, n, th))
+    vf, c2, s2 = np.ldexp(vf, -k), np.cos(2.0 * th), np.sin(2.0 * th)
     # a bright row's overflow ends in inf or NaN, without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "ml":
@@ -187,10 +198,12 @@ def _fit_hom_rows(angles, variances, counts, det: DetectionModel, method: str) -
         else:
             a, ok = _kernels.wls_fit_rows(vf, n, c2, s2)
             lik = _kernels.loglik_rows(a, vf, n, c2, s2)
-            # a solution that overflowed is not a fit, as for ML
-            iters, converged = np.ones(fit.size, dtype=np.int64), np.all(np.isfinite(a), axis=-1)
+            iters, converged = np.ones(fit.size, dtype=np.int64), ok
             failed[fit[~ok]] = SINGULAR_WLS
-            fit, a, lik, iters, converged = fit[ok], a[ok], lik[ok], iters[ok], converged[ok]
+            fit, a, lik, iters, converged, k = (x[ok] for x in (fit, a, lik, iters, converged, k))
+        a = np.ldexp(a, k[:, None])
+        # a solution that overflowed is not a fit
+        converged = converged & np.all(np.isfinite(a), axis=-1)
         g = np.stack([a[:, 0] + a[:, 1], a[:, 2], a[:, 0] - a[:, 1]], axis=-1)
         g = det.wigner_rows(g, "hom")
     out = HomRows(

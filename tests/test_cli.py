@@ -611,12 +611,13 @@ def test_bright_record_estimates_without_traceback(tmp_path, capsys, mu):
 
 
 def test_non_finite_report_values_print_as_null(tmp_path, capsys):
-    # the fit of a mu 1e307 record overflows: stdout says null, as the file does
+    # a mu 1.7e308 record has sample variances past the float range, so its
+    # fit is not finite: stdout says null, as the file does
     def no_constants(name):
         raise ValueError(f"{name} is not JSON")
 
     data, out = tmp_path / "d.csv", tmp_path / "e.json"
-    assert main(["simulate", "--scheme", "hom", "--mu", "1e307", "--lambda", "3",
+    assert main(["simulate", "--scheme", "hom", "--mu", "1.7e308", "--lambda", "1",
                  "--samples", "1000", "--seed", "1", "--out", str(data)]) == 0
     capsys.readouterr()
     for method in ("ml", "wls"):

@@ -128,9 +128,10 @@ class TestExtractParams:
             assert hs_distance(back, g) < 1e-16 * max(1.0, g.trace) ** 2
 
     def test_round_trip_bright(self):
-        # e1 * e2 overflows above mu ~ 1.3e154; mu is taken from the
-        # eigenvalues scaled by a power of two, so it stays finite
-        for mu in (1e160, 1e300):
+        # e1 * e2 overflows above mu ~ 1.3e154, and at mu 5.9e307 the trace
+        # does; mu is taken from the eigenvalues of g scaled by a power of
+        # two, so it stays finite
+        for mu in (1e160, 1e300, 5.9e307):
             s = extract_params(wigner_cov(StateSpec(mu, 3.0, 0.4)))
             assert s.mu == pytest.approx(mu, rel=1e-12)
             assert s.lam == pytest.approx(3.0, rel=1e-12)
@@ -205,10 +206,14 @@ class TestHomodyneEstimators:
             estimate(d, DET)
 
     def test_overflowing_solution_is_not_converged(self):
-        # at mu 1e307 the solve overflows although every variance is finite:
-        # WLS reports that row as not converged, as ML does
-        g_w = wigner_cov(StateSpec(1e307, 3.0))
-        d = sample_homodyne(g_w, DetectionModel(), AngleProtocol(10), 1_000, 1)
+        # three angles 0.01 apart whose variances, 1e308 and 1.1e308, are
+        # finite: the sinusoid through them has an amplitude 500 times the
+        # variances, beyond the float range in the record's units although the
+        # fit in units of 2^k is finite.  WLS reports that row as not
+        # converged, as ML does
+        x = np.tile([1.0, -1.0], 500)
+        samples = tuple(math.sqrt(v) * x for v in (1e308, 1.1e308, 1e308))
+        d = HomodyneDataset((0.0, 0.01, 0.02), samples, {"scheme": "hom"})
         for method in ("ml", "wls"):
             r = estimate(d, DetectionModel(), method)
             assert np.all(np.isfinite(r.diagnostics.variances)), method

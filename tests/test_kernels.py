@@ -1,6 +1,7 @@
 """The sinusoidal-model fit kernels on rows: exactness, optimality, the QR
 factor of the whitened design, and row-by-row equivalence with solo fits and
-with a per-problem reference fit."""
+with a per-problem reference fit.  The kernels take (m, R) arrays, angle
+axis first: problem r is column r."""
 
 import numpy as np
 
@@ -24,7 +25,8 @@ def make_problem(rng, m=10, n_per=1000):
 
 
 def make_rows(rng, rows, m=10, n_per=1000):
-    return [np.stack(x) for x in zip(*(make_problem(rng, m, n_per) for _ in range(rows)))]
+    # (m, rows) arrays: one problem per column
+    return [np.stack(x, axis=-1) for x in zip(*(make_problem(rng, m, n_per) for _ in range(rows)))]
 
 
 # The per-problem reference each row is held to: the same Fisher scoring,
@@ -94,9 +96,10 @@ def test_loglik_rejects_nonpositive_variance():
 def test_ml_exact_on_noiseless_input():
     th = np.arange(12) * np.pi / 12
     c2, s2 = np.cos(2.0 * th), np.sin(2.0 * th)
-    n = np.full(12, 500.0)
+    c2, s2 = c2[:, None], s2[:, None]
+    n = np.full((12, 1), 500.0)
     a_true = np.array([[4.0, 1.5, -2.0], [2.0, -0.5, 0.3]])
-    v = a_true[:, 0:1] + a_true[:, 1:2] * c2 + a_true[:, 2:3] * s2
+    v = a_true[:, 0] + a_true[:, 1] * c2 + a_true[:, 2] * s2
     a, lik, iters, conv = _kernels.ml_fit_rows(v, n, c2, s2, 10_000, 1e-10)
     assert np.all(conv)
     np.testing.assert_allclose(a, a_true, rtol=1e-10)
@@ -111,10 +114,10 @@ def test_ml_recovers_wls_start_gradient_zero():
     v, n, c2, s2 = make_rows(rng, 20)
     a, lik, iters, conv = _kernels.ml_fit_rows(v, n, c2, s2, 10_000, 1e-12)
     assert np.all(conv)
-    s = a[:, 0:1] + a[:, 1:2] * c2 + a[:, 2:3] * s2
+    s = a[:, 0] + a[:, 1] * c2 + a[:, 2] * s2
     w = n / (2.0 * s * s)
-    grad = np.stack([np.sum(w * (v - s) * col, axis=-1) for col in (1.0, c2, s2)], axis=-1)
-    scale = np.sum(n / (2.0 * s * s), axis=-1)
+    grad = np.stack([np.sum(w * (v - s) * col, axis=0) for col in (1.0, c2, s2)], axis=-1)
+    scale = np.sum(n / (2.0 * s * s), axis=0)
     assert np.all(np.max(np.abs(grad), axis=-1) < 1e-6 * scale)
 
 
@@ -124,10 +127,12 @@ def test_qr_matches_numpy():
     # design w (1, c2, s2), Q R is that design and Q is orthonormal
     rng = np.random.default_rng(16)
     v, n, c2, s2 = make_rows(rng, 100)
-    v *= np.ldexp(1.0, rng.integers(-600, 600, (100, 1)))
+    v *= np.ldexp(1.0, rng.integers(-600, 600, 100))
     w, q, r, k, ok = _kernels.qr_rows(v, n, c2, s2)
     assert np.all(ok)
-    assert np.array_equal(w, np.sqrt(0.5 * n) / np.ldexp(v, -k[:, None]))
+    assert np.array_equal(w, np.sqrt(0.5 * n) / np.ldexp(v, -k))
+    # row-major (100, 6, 3) stacks of the design, Q and R
+    w, c2, s2, q = w.T, c2.T, s2.T, [qi.T for qi in q]
     design = w[..., None] * np.stack([np.ones_like(c2), c2, s2], axis=-1)
     upper = np.zeros((100, 3, 3))
     upper[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]] = np.stack(r, axis=-1)
@@ -142,8 +147,8 @@ def test_qr_flags_rank_deficient_rows():
     # two angles distinct mod pi, two distinct only by 1e-14, then a
     # well-posed row: the first two are flagged, and WLS fails on them
     th = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-14, 1.0 + np.pi],
-                   [0.0, 1.0, 2.0, 3.0]])
-    v, n, c2, s2 = np.ones((3, 4)), np.full(4, 10.0), np.cos(2.0 * th), np.sin(2.0 * th)
+                   [0.0, 1.0, 2.0, 3.0]]).T
+    v, n, c2, s2 = np.ones((4, 3)), np.full((4, 1), 10.0), np.cos(2.0 * th), np.sin(2.0 * th)
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = _kernels.qr_rows(v, n, c2, s2)[-1]
     assert ok.tolist() == [False, False, True]
@@ -153,21 +158,21 @@ def test_qr_flags_rank_deficient_rows():
 
 
 def _mixed_batch():
-    """Rows of one (R, 6) batch that take every path of the kernel."""
+    """Problems of one (6, R) batch that take every path of the kernel."""
     rng = np.random.default_rng(21)
     v, n, c2, s2 = make_rows(rng, 5, m=M)
     c2, s2 = c2.copy(), s2.copy()
     n = n.copy()
     # an infeasible WLS start: the isotropic fallback starts the fit
-    v[1] = [1.204, 1.288, 1.102, 0.035, 0.113, 0.01]
-    c2[1], s2[1], n[1] = np.cos(2.0 * TH), np.sin(2.0 * TH), 3.0
+    v[:, 1] = [1.204, 1.288, 1.102, 0.035, 0.113, 0.01]
+    c2[:, 1], s2[:, 1], n[:, 1] = np.cos(2.0 * TH), np.sin(2.0 * TH), 3.0
     # a singular design: every angle the same
-    c2[2], s2[2] = np.cos(0.6), np.sin(0.6)
+    c2[:, 2], s2[:, 2] = np.cos(0.6), np.sin(0.6)
     # no start at all: every variance zero
-    v[3] = 0.0
-    # a small count, so this row needs more iterations than the others
-    v[4] = 2.0 + np.cos(2.0 * TH) * 1.5 * rng.chisquare(4, M) / 4
-    c2[4], s2[4], n[4] = np.cos(2.0 * TH), np.sin(2.0 * TH), 5.0
+    v[:, 3] = 0.0
+    # a small count, so this problem needs more iterations than the others
+    v[:, 4] = 2.0 + np.cos(2.0 * TH) * 1.5 * rng.chisquare(4, M) / 4
+    c2[:, 4], s2[:, 4], n[:, 4] = np.cos(2.0 * TH), np.sin(2.0 * TH), 5.0
     return v, n, c2, s2
 
 
@@ -175,15 +180,15 @@ def test_rows_match_solo_and_per_problem_fits():
     v, n, c2, s2 = _mixed_batch()
     for max_iter in (1, 10_000):
         a, lik, iters, conv = _kernels.ml_fit_rows(v, n, c2, s2, max_iter, 1e-10)
-        for r in range(v.shape[0]):
-            solo = _kernels.ml_fit_rows(v[r : r + 1], n[r], c2[r : r + 1], s2[r : r + 1],
-                                        max_iter, 1e-10)
+        for r in range(v.shape[1]):
+            solo = _kernels.ml_fit_rows(v[:, r : r + 1], n[:, r : r + 1], c2[:, r : r + 1],
+                                        s2[:, r : r + 1], max_iter, 1e-10)
             assert np.array_equal(a[r], solo[0][0]), (max_iter, r)
             assert lik[r] == solo[1][0] or (np.isnan(lik[r]) and np.isnan(solo[1][0]))
             assert (iters[r], conv[r]) == (solo[2][0], solo[3][0]), (max_iter, r)
         # rows 2 and 3 have no least-squares solution to compare with
         for r in (0, 1, 4):
-            ref = _ref_ml_fit(v[r], n[r], c2[r], s2[r], max_iter, 1e-10)
+            ref = _ref_ml_fit(v[:, r], n[:, r], c2[:, r], s2[:, r], max_iter, 1e-10)
             _assert_matches_reference(a[r], lik[r], ref)
             assert (iters[r], conv[r]) == ref[2:], (max_iter, r)
         if max_iter == 1:
@@ -203,12 +208,12 @@ def test_rows_match_per_problem_fits_on_random_batch():
     rng = np.random.default_rng(22)
     for m, n_per in ((5, 3), (10, 50), (15, 1000)):
         v, n, c2, s2 = make_rows(rng, 60, m=m, n_per=n_per)
-        a, lik, iters, conv = _kernels.ml_fit_rows(v, n[0], c2, s2, 10_000, 1e-10)
-        a_wls, ok = _kernels.wls_fit_rows(v, n[0], c2, s2)
+        a, lik, iters, conv = _kernels.ml_fit_rows(v, n[:, :1], c2, s2, 10_000, 1e-10)
+        a_wls, ok = _kernels.wls_fit_rows(v, n[:, :1], c2, s2)
         assert np.all(ok)
-        for r in range(v.shape[0]):
-            want = _ref_lstsq(v[r], n[r], v[r], c2[r], s2[r])
+        for r in range(v.shape[1]):
+            want = _ref_lstsq(v[:, r], n[:, r], v[:, r], c2[:, r], s2[:, r])
             assert np.abs(a_wls[r] - want).max() <= 1e-12 * np.abs(want).max()
-            ref = _ref_ml_fit(v[r], n[r], c2[r], s2[r], 10_000, 1e-10)
+            ref = _ref_ml_fit(v[:, r], n[:, r], c2[:, r], s2[:, r], 10_000, 1e-10)
             _assert_matches_reference(a[r], lik[r], ref)
             assert (iters[r], conv[r]) == ref[2:]
