@@ -29,9 +29,8 @@ evaluates the expected error of many states that share an angle count at
 once, from the QR factor of each protocol offset's whitened design on the
 angles distinct mod pi (_kernels.qr_rows, the factor the homodyne fits
 solve on), each state getting the bits it gets alone.  Its grids are
-laid out by the one layout rule of the _kernels docstring.  An unrotated
-state (g12 = 0) is mirror-symmetric in the protocol offset, so
-_expected_hom_mean evaluates it on half the offsets.
+laid out by the one layout rule of the _kernels docstring.  Two offsets
+give the exact mean over a uniform random offset (expected_hom_hs_error).
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ from .sampling import (
 
 GAMMA_MIN_REPS = 30
 REFERENCE_ANGLES = 100  # angles of the estimated homodyne reference
-_OFFSET_POINTS = 64  # protocol offsets the expected homodyne error averages over
-_BLOCK_ENTRIES = 1 << 14  # cells x offsets x distinct angles per block of _expected_hom_rows
+_BLOCK_ENTRIES = 1 << 14  # design entries per _expected_hom_rows block, unless one cell has more
 _BLOCK_ROWS = 2048  # repetitions per block of _run_cells: bounds the rows its fits hold at once
 _GAMMA_EVENTS = 1_000_000  # event budget of gamma_analytic; cancels in the ratio
 
@@ -381,8 +379,9 @@ def expected_het_hs_error(state: StateSpec, det: DetectionModel, n_pairs: int) -
 
 
 def _hom_offsets(m: int) -> np.ndarray:
-    # the _OFFSET_POINTS protocol offsets the expected homodyne error averages over
-    return (np.arange(_OFFSET_POINTS) + 0.5) * (TWO_PI / m) / _OFFSET_POINTS
+    # pi/(4d) and 3pi/(4d): two protocol offsets pi/(2d) apart, whose mean
+    # is the uniform-offset mean (_expected_hom_rows)
+    return np.array([0.25, 0.75]) * (math.pi / _distinct_mod_pi(m))
 
 
 def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> np.ndarray:
@@ -406,62 +405,39 @@ def _expected_hom_rows(g_noisy, m: int, n_events: int, offsets: np.ndarray) -> n
     Fisher information of g is 2 ||R^-1||_F^2, read from the closed-form
     inverse of the 3x3 triangle.
 
-    A block is a (d, cells, offsets) grid of whole offsets of one or more
-    cells and at most _BLOCK_ENTRIES design entries (one offset's d, if
-    more), which bounds the memory at any m; the per-offset values are
-    summed once, at the end.  The grid is laid out by _kernels.angle_major,
-    under the layout rule of the _kernels docstring.  Every operation is
-    elementwise or a sum over the angles of one problem, and the offsets
-    per block and the layout depend on m alone, so a cell's value does not
-    depend on the other cells, and g times 2^k gives exactly 2^2k times
-    the value.  The offsets are the caller's; the g12 = 0 mirror, which
-    holds only on the midpoint grid, is _expected_hom_mean's.
+    All offsets form one (d, 1, offsets) grid, laid out by
+    _kernels.angle_major under the layout rule of the _kernels docstring,
+    and the cells are taken in blocks of at most _BLOCK_ENTRIES design
+    entries, or of one cell where a cell alone has more.  Every operation
+    is elementwise or a sum over the angles of one problem, and the layout
+    depends on m alone, so a cell's value does not depend on the other
+    cells, and g times 2^k gives exactly 2^2k times the value.
     """
     d = _distinct_mod_pi(m)
     if d < 3:
         raise SingularMatrix(f"angle count {m} cannot identify three covariance entries")
     g = np.asarray(g_noisy, dtype=float).reshape(-1, 3)
     hs = np.empty((len(g), offsets.size))  # per (cell, offset), NaN where not ok
-    steps = np.arange(d)[:, None] * (TWO_PI / m)
-    span = min(offsets.size, max(1, _BLOCK_ENTRIES // d))  # offsets per block
-    for p in range(0, offsets.size, span):
-        th = _kernels.angle_major(steps + offsets[p : p + span])[:, None]  # (d, 1, offsets)
-        c, s, c2, s2 = np.cos(th), np.sin(th), np.cos(2.0 * th), np.sin(2.0 * th)
-        cells = max(1, _BLOCK_ENTRIES // th.size)
-        for lo in range(0, len(g), cells):
-            g11, g12, g22 = (col[:, None] for col in g[lo : lo + cells].T)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
-                sig2 = _kernels.angle_major(sig2)  # (d, cells, offsets)
-                _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / d, c2, s2)
-                r00, r01, r02, r11, r12, r22 = r
-                # columns of R^-1 by back substitution: 1/r00; (y0, y1); (x0, x1, x2)
-                y1 = 1.0 / r11
-                y0 = -r01 * y1 / r00
-                x2 = 1.0 / r22
-                x1 = -r12 * x2 / r11
-                x0 = -(r01 * x1 + r02 * x2) / r00
-                h = 2.0 * (1.0 / r00**2 + y0**2 + y1**2 + x0**2 + x1**2 + x2**2)
-                hs[lo : lo + cells, p : p + span] = np.where(ok, np.ldexp(h, 2 * k), math.nan)
+    th = _kernels.angle_major(np.arange(d)[:, None] * (TWO_PI / m) + offsets)[:, None]
+    c, s, c2, s2 = np.cos(th), np.sin(th), np.cos(2.0 * th), np.sin(2.0 * th)
+    cells = max(1, _BLOCK_ENTRIES // th.size)
+    for lo in range(0, len(g), cells):
+        g11, g12, g22 = (col[:, None] for col in g[lo : lo + cells].T)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sig2 = g11 * c * c + 2.0 * g12 * c * s + g22 * s * s  # core.marginal_variance
+            sig2 = _kernels.angle_major(sig2)  # (d, cells, offsets)
+            _, _, r, k, ok = _kernels.qr_rows(sig2, n_events / d, c2, s2)
+            r00, r01, r02, r11, r12, r22 = r
+            # columns of R^-1 by back substitution: 1/r00; (y0, y1); (x0, x1, x2)
+            y1 = 1.0 / r11
+            y0 = -r01 * y1 / r00
+            x2 = 1.0 / r22
+            x1 = -r12 * x2 / r11
+            x0 = -(r01 * x1 + r02 * x2) / r00
+            h = 2.0 * (1.0 / r00**2 + y0**2 + y1**2 + x0**2 + x1**2 + x2**2)
+            hs[lo : lo + cells] = np.where(ok, np.ldexp(h, 2 * k), math.nan)
     with np.errstate(over="ignore"):
         return np.sum(hs, axis=-1) / offsets.size
-
-
-def _expected_hom_mean(g: np.ndarray, m: int, n_events: int) -> np.ndarray:
-    """_expected_hom_rows(g, m, n_events, _hom_offsets(m)) for (C, 3) rows g,
-    each row on its own grid.  A row with g12 = 0 has sigma^2(theta) =
-    sigma^2(-theta), and theta -> -theta maps the angle set at midpoint
-    offset k onto the set at offset _OFFSET_POINTS - 1 - k (mod pi, so for
-    folded even m too): its Fisher information at the two offsets differs
-    only in the sign of the sin 2theta column, with the same inverse trace.
-    Such a row is evaluated on the first half of the offsets, whose mean
-    is the full mean up to rounding; every other row keeps the full grid."""
-    offsets, mirror = _hom_offsets(m), g[:, 1] == 0.0
-    values = np.empty(len(g))
-    for rows, grid in ((mirror, offsets[: _OFFSET_POINTS // 2]), (~mirror, offsets)):
-        if rows.any():
-            values[rows] = _expected_hom_rows(g[rows], m, n_events, grid)
-    return values
 
 
 def expected_hom_hs_error(
@@ -472,18 +448,19 @@ def expected_hom_hs_error(
     Inverse Fisher information of (g11, g12, g22) under the per-angle
     variance statistics: each angle contributes (n_theta / (2 sigma_theta^4))
     u u^T with u = (cos^2, sin 2theta, sin^2).  E[D_HS] is the weighted
-    trace of the inverse, averaged over _OFFSET_POINTS protocol offsets to
-    match the benchmark's random-offset draws; for a recorded g12 = 0 the
-    average over the first half of them, which equals it by the mirror
-    theta -> -theta (_expected_hom_mean).  The one-row view of
-    _scaled_records and _expected_hom_mean, on the recorded covariance
-    scaled by 2^-k and multiplied back by 2^2k: a singular Fisher
-    information raises SingularMatrix, and an error beyond the float
-    range reads inf.
+    trace of the inverse, averaged over a uniform random protocol offset
+    delta, as the benchmark draws it.  That trace holds only the harmonics 0
+    and 1 of 2 d delta (d = _distinct_mod_pi(m)), so its mean over the two
+    offsets of _hom_offsets, pi/(2d) apart, is the exact offset mean
+    (tests/test_benchmark.py: 4096-offset and 50-digit means).  The one-row
+    view of _scaled_records and _expected_hom_rows, on the recorded
+    covariance scaled by 2^-k and multiplied back by 2^2k: a singular Fisher
+    information raises SingularMatrix, and an error beyond the float range
+    reads inf.
     """
     m = int(angle_count)
     k, g = _scaled_records([state], det)["hom"]
-    value = _expected_hom_mean(g, m, n_events)
+    value = _expected_hom_rows(g, m, n_events, _hom_offsets(m))
     if np.isnan(value[0]):
         raise SingularMatrix("Fisher information is singular for this protocol")
     with np.errstate(over="ignore"):
@@ -493,14 +470,14 @@ def expected_hom_hs_error(
 def _analytic_gammas(states: list, det: DetectionModel, m: int) -> list:
     """gamma_analytic of each state, as arrays over the states: the
     heterodyne and homodyne errors of the scaled recorded covariances
-    (_scaled_records), the homodyne side in one _expected_hom_mean call, and
-    their ratio times 2^2(k_het - k_hom).  A state gets NaN where its Fisher
-    information is singular, its recorded covariance is not finite or its
-    gamma lies beyond the float range; a protocol with fewer than 3 angles
-    distinct mod pi raises SingularMatrix."""
+    (_scaled_records), the homodyne side in one _expected_hom_rows call on
+    _hom_offsets, and their ratio times 2^2(k_het - k_hom).  A state gets NaN
+    where its Fisher information is singular, its recorded covariance is not
+    finite or its gamma lies beyond the float range; a protocol with fewer
+    than 3 angles distinct mod pi raises SingularMatrix."""
     records = _scaled_records(states, det)
     (k_het, sigma), (k_hom, g) = records["het"], records["hom"]
-    hom = _expected_hom_mean(g, m, _GAMMA_EVENTS)
+    hom = _expected_hom_rows(g, m, _GAMMA_EVENTS, _hom_offsets(m))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gammas = np.ldexp(_het_error(sigma, _GAMMA_EVENTS) / hom, 2 * (k_het - k_hom))
     return np.where(np.isfinite(gammas), gammas, math.nan).tolist()
@@ -510,8 +487,8 @@ def gamma_analytic(state: StateSpec, det: DetectionModel, angle_count: int) -> f
     """Asymptotic gamma: expected heterodyne HS error over homodyne's.
 
     Independent of the event budget (both errors scale as 1/N); the
-    homodyne side is averaged over the protocol offset, over half the
-    offsets where the recorded g12 is 0 (_expected_hom_mean).  For
+    homodyne side is averaged over the protocol offset, exactly, on the
+    two offsets of _hom_offsets (expected_hom_hs_error).  For
     isotropic states at eta=1 this reduces to 6 (mu+1)^2 / (20 mu^2): 1.2
     at the vacuum, crossing 1 near mu = 1.211, tending to 0.3 for bright
     thermal states.  The one-state view of _analytic_gammas: NaN where the

@@ -365,7 +365,7 @@ def verify_file(path) -> tuple[bool, str]:
         if head == BIN_MAGIC:
             _, body, stored, _ = _read_bin_header(f)
             what = "binary dataset, config hash"
-        elif head.startswith(b"# "):
+        elif head.startswith(b"# ") or not head:  # an empty file fails as a CSV's line 1
             _, body, stored = _read_csv_header(f)
             what = "header config hash"
         else:

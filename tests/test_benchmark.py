@@ -186,6 +186,27 @@ _MPMATH = [
     (1e150, 1e-4, 3, 7.5000000499999974e302, 0.26666666755555561),
 ]
 
+# The per-event offset mean c0 of the homodyne error: n_events times
+# expected_hom_hs_error, which is 2 tr(G^-1) with G = sum_j x_j x_j^T /
+# (2 d sigma_j^4), x_j = (1, cos 2theta_j, sin 2theta_j), averaged over the
+# protocol offset.  Computed offline with mpmath at 50 digits, from the
+# recorded covariance as float64 and exact angles, as the mean over 16
+# equally spaced offsets of the period pi/d.  In those 16 values the
+# harmonics 2, 3 and 4 of 2 d delta were below 1e-29 of c0, against a first
+# harmonic of up to 0.015 of it, and the mean over the two offsets of
+# _hom_offsets matched c0 to 1e-29.
+_OFFSET_MEANS = [
+    # mu, lambda, orientation, m, eta 0.85 with g_elec (0.05, 0.01, 0.08) (else eta 1), c0
+    (1.0, 1e2, 0.0, 3, False, 75005.00075),
+    (1.0, 1e6, 0.0, 5, False, 3850000000008.86),
+    (2.5, 30.0, 0.7, 7, False, 17674.02824659509),
+    (6.44, 11.61, 0.0, 10, True, 22202.710384957106),
+    (3.0, 1e3, 1.1, 12, True, 30612801.793592589),
+    (0.7, 80.0, 0.4, 24, False, 8092.1687190521985),
+    (1.0, 1e6, 0.3, 11, True, 2639399583878.4382),
+    (2.0, 1e4, 2.0, 301, True, 810436570.18453999),
+]
+
 
 class TestStrongSqueezing:
     def test_no_homodyne_fit_fails(self):
@@ -485,11 +506,37 @@ class TestExpectedErrors:
                 got = benchmark._expected_hom_rows([g], m, 10_000, offsets)[0]
                 assert got == pytest.approx(all_angles(g, m, 10_000, offsets), rel=1e-12), (m, lam)
 
-    def test_unrotated_states_use_the_mirror_half_of_the_offsets(self):
-        # g12 = 0 gives sigma^2(theta) = sigma^2(-theta), and the reflection maps
-        # offset k of the midpoint grid onto offset 63 - k: the mean over the
-        # first 32 offsets is the 64-offset mean up to rounding.  Any other row
-        # keeps the full grid and its bits, and each row gets its one-row bits.
+    def test_two_offsets_give_the_offset_mean(self):
+        # As a function of the protocol offset delta the inverse Fisher trace
+        # holds only the harmonics 0 and 1 of 2 d delta, d the angles distinct
+        # mod pi, so its mean over the two offsets of _hom_offsets, pi/(2d)
+        # apart, is the mean over a uniform offset: here over 4096 midpoints
+        # of the period pi/d, on unrotated and rotated states up to lambda 1e6
+        rng = np.random.default_rng(27)
+        dets = (DET1, DetectionModel(0.85, CovMat(0.05, 0.01, 0.08)))
+        for m in (3, 5, 6, 7, 10, 12, 24, 59, 100, 301):
+            d = benchmark._distinct_mod_pi(m)
+            two = benchmark._hom_offsets(m)
+            assert two.size == 2 and two[1] - two[0] == pytest.approx(math.pi / (2 * d), rel=1e-15)
+            dense = (np.arange(4096) + 0.5) * (math.pi / d / 4096)
+            for det in dets:
+                states = [StateSpec(10 ** rng.uniform(-2.0, 3.0), 10 ** rng.uniform(0.0, 6.0),
+                                    rng.uniform(0.0, math.pi) if i else 0.0) for i in range(4)]
+                _, g = benchmark._scaled_records(states, det)["hom"]
+                got = benchmark._expected_hom_rows(g, m, 10_000, two)
+                want = benchmark._expected_hom_rows(g, m, 10_000, dense)
+                assert np.all(np.abs(got - want) <= 5e-14 * want), (m, det)
+
+    def test_two_offsets_match_the_50_digit_offset_means(self):
+        noisy = DetectionModel(0.85, CovMat(0.05, 0.01, 0.08))
+        for mu, lam, phi, m, gelec, c0 in _OFFSET_MEANS:
+            state, n = StateSpec(mu, lam, phi), benchmark._GAMMA_EVENTS
+            got = expected_hom_hs_error(state, noisy if gelec else DET1, m, n) * n
+            assert got == pytest.approx(c0, rel=1e-13), (mu, lam, phi, m)
+
+    def test_each_row_gets_its_one_row_bits(self):
+        # unrotated and rotated rows, and rows whose g_elec rotates them, in one
+        # call on the two offsets: each row gets the bits of a call of its own
         det = DetectionModel(0.85, CovMat(0.01, 0.0, 0.01))
         skew = DetectionModel(0.85, CovMat(0.01, 0.002, 0.01))
         mus, lams = np.geomspace(1e-3, 1e150, 7), np.geomspace(1.0, 1e4, 5)
@@ -497,26 +544,18 @@ class TestExpectedErrors:
         rotated = [StateSpec(mu, lam, 0.7) for mu in mus for lam in lams[1:]]
         for m in (3, 5, 7, 10, 100):
             offsets = benchmark._hom_offsets(m)
-            for states, d, mirrored in ((flat, det, True), (rotated, det, False),
-                                        (flat, skew, False)):
-                _, g = benchmark._scaled_records(states, d)["hom"]
-                assert np.all((g[:, 1] == 0.0) == mirrored), (m, mirrored)
-                got = benchmark._expected_hom_mean(g, m, 10_000)
-                full = benchmark._expected_hom_rows(g, m, 10_000, offsets)
-                assert np.all(np.isfinite(got)), m
-                if mirrored:
-                    assert np.all(np.abs(got - full) <= 2e-15 * full), m
-                else:
-                    assert np.array_equal(got, full), m
             _, g_flat = benchmark._scaled_records(flat, det)["hom"]
             _, g_rot = benchmark._scaled_records(rotated, det)["hom"]
-            g = np.concatenate([g_rot[:9], g_flat, g_rot[9:]])
-            mixed = benchmark._expected_hom_mean(g, m, 10_000)
-            alone = [benchmark._expected_hom_mean(row[None], m, 10_000)[0] for row in g]
+            _, g_skew = benchmark._scaled_records(flat, skew)["hom"]
+            assert np.all(g_flat[:, 1] == 0.0) and np.all(g_skew[:, 1] != 0.0)
+            g = np.concatenate([g_rot[:9], g_flat, g_rot[9:], g_skew])
+            mixed = benchmark._expected_hom_rows(g, m, 10_000, offsets)
+            alone = [benchmark._expected_hom_rows(row[None], m, 10_000, offsets)[0] for row in g]
+            assert np.all(np.isfinite(mixed)), m
             assert mixed.tolist() == alone, m
             # the scalar entries are the one-row views of the array paths
             k, g_flat = benchmark._scaled_records(flat[::4], det)["hom"]
-            views = np.ldexp(benchmark._expected_hom_mean(g_flat, m, 10_000), 2 * k)
+            views = np.ldexp(benchmark._expected_hom_rows(g_flat, m, 10_000, offsets), 2 * k)
             assert [expected_hom_hs_error(x, det, m, 10_000) for x in flat[::4]] == views.tolist()
             both = flat[::4] + rotated[::4]
             gammas = benchmark._analytic_gammas(both, det, m)
@@ -608,12 +647,12 @@ class TestGammaMap:
                                 assert row["gamma"] == want
 
     def test_analytic_blocks_stay_under_the_entry_budget(self, monkeypatch):
-        # the designs are factored on the angles distinct mod pi, in blocks of at
-        # most _BLOCK_ENTRIES entries; a cell larger than that is cut into blocks
-        # of whole offsets.  A block is an (angles, cells, offsets) grid: below
-        # _SLAB_ANGLES angles its angle axis is outermost in memory, so qr_rows
-        # sums over the angles as slab adds; from there on it is contiguous,
-        # summed pairwise.
+        # the designs are factored on the angles distinct mod pi, in blocks of
+        # whole cells and at most _BLOCK_ENTRIES entries; a cell larger than
+        # that is a block of its own.  A block is an (angles, cells, offsets)
+        # grid: below _SLAB_ANGLES angles its angle axis is outermost in memory,
+        # so qr_rows sums over the angles as slab adds; from there on it is
+        # contiguous, summed pairwise.
         shapes = []
         qr = benchmark._kernels.qr_rows
 
@@ -624,20 +663,22 @@ class TestGammaMap:
             return qr(var, *args)
 
         monkeypatch.setattr(benchmark._kernels, "qr_rows", counted)
-        gamma_map(np.linspace(0.5, 4.0, 12), np.linspace(1.0, 8.0, 12), DET1, angle_count=10,
+        # 101 angles: a block holds 81 of the 144 cells
+        offsets = benchmark._hom_offsets(101).size
+        gamma_map(np.linspace(0.5, 4.0, 12), np.linspace(1.0, 8.0, 12), DET1, angle_count=101,
                   analytic=True)
         assert sum(shape[1] for shape in shapes) == 144
-        # every state is unrotated and g_elec is 0: g12 = 0 halves the offset grid
-        half = benchmark._OFFSET_POINTS // 2
-        assert all((shape[0], shape[2]) == (5, half) for shape in shapes)
+        assert all((shape[0], shape[2]) == (101, offsets) for shape in shapes)
         assert 1 < len(shapes) and max(math.prod(x) for x in shapes) <= benchmark._BLOCK_ENTRIES
         shapes.clear()
-        # a cell's half grid exceeds the budget at this m, so each cell is cut
-        m = 2 * (benchmark._BLOCK_ENTRIES // half + 1)
+        # a cell's grid exceeds the budget at this m, so each cell is a block of its own
+        offsets = benchmark._hom_offsets(2).size
+        m = 2 * (benchmark._BLOCK_ENTRIES // offsets + 1)
+        assert benchmark._hom_offsets(m).size == offsets
         rows = gamma_map([1.0, 2.0, 3.0], [1.0], DET1, angle_count=m, analytic=True)
-        assert all(shape[0] == m // 2 for shape in shapes) and len(shapes) > 3
-        assert sum(shape[1] * shape[2] for shape in shapes) == 3 * half
-        assert max(math.prod(x) for x in shapes) <= benchmark._BLOCK_ENTRIES
+        assert shapes == [(m // 2, 1, offsets)] * 3
+        assert sum(shape[1] * shape[2] for shape in shapes) == 3 * offsets
+        assert min(math.prod(x) for x in shapes) > benchmark._BLOCK_ENTRIES
         assert all(math.isfinite(row["gamma"]) for row in rows)
 
     def test_empirical_map_needs_30_reps(self):

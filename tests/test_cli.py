@@ -379,6 +379,14 @@ class TestVerifyCommand:
         assert code == 2
         assert err == f"error: DataFormatError: {message}\n"
 
+    @pytest.mark.parametrize("command", ["verify", "estimate", "gaussianity"])
+    def test_empty_file_exits_2_with_one_line(self, tmp_path, capsys, command):
+        data = tmp_path / "empty.csv"
+        data.write_bytes(b"")
+        code, _, err = run(capsys, command, str(data))
+        assert code == 2
+        assert err == "error: DataFormatError: line 1: empty file\n"
+
 
 class TestConfigFile:
     def test_ini_supplies_defaults_flags_override(self, tmp_path, capsys):
