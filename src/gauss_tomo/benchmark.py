@@ -380,7 +380,7 @@ def expected_het_hs_error(state: StateSpec, det: DetectionModel, n_pairs: int) -
 
 def _hom_offsets(m: int) -> np.ndarray:
     # pi/(4d) and 3pi/(4d): two protocol offsets pi/(2d) apart, whose mean
-    # is the uniform-offset mean (_expected_hom_rows)
+    # is the uniform-offset mean (expected_hom_hs_error)
     return np.array([0.25, 0.75]) * (math.pi / _distinct_mod_pi(m))
 
 

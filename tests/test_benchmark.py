@@ -672,7 +672,6 @@ class TestGammaMap:
         assert 1 < len(shapes) and max(math.prod(x) for x in shapes) <= benchmark._BLOCK_ENTRIES
         shapes.clear()
         # a cell's grid exceeds the budget at this m, so each cell is a block of its own
-        offsets = benchmark._hom_offsets(2).size
         m = 2 * (benchmark._BLOCK_ENTRIES // offsets + 1)
         assert benchmark._hom_offsets(m).size == offsets
         rows = gamma_map([1.0, 2.0, 3.0], [1.0], DET1, angle_count=m, analytic=True)
